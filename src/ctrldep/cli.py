@@ -14,9 +14,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from itertools import product
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from .cfg import Cfg, ParseError, parse_cfg, predicates, serialize_cfg
 from .closures import ClosureSpec, ClosureSpecError, strong_closure
@@ -32,16 +33,40 @@ from .ntscd import (
 )
 from .oracle import ORACLE_MAX_NODES, BudgetError, oracle_dod, oracle_ntscd
 
-ALGO_KINDS = {
-    "ntscd-new": "ntscd",
-    "ntscd-vp": "ntscd",
-    "ntscd-rang": "ntscd",
-    "ntscd-rang-fixed": "ntscd",
-    "dod-new": "dod",
-    "dod-formula": "dod",
-    "dod-formula-fixed": "dod",
-    "cc": "closure",
+
+class RunOptions(NamedTuple):
+    """What an algorithm reads besides the graph, parsed before any timing."""
+
+    policy: WorklistPolicy = "fifo"
+    spec: ClosureSpec | None = None
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm id: the relation it computes (also its ``analyze``
+    report key), how to run it, and how ``check`` gates it against the
+    oracle of its kind: "equal", "superset", or None (not gated)."""
+
+    kind: str
+    run: Callable[[Cfg, RunOptions], frozenset]
+    gate: Literal["equal", "superset"] | None
+
+
+# ntscd-rang is not gated: under a popping policy it is known to be
+# order-sensitive and wrong on some graphs, which is why it is kept.  The
+# original DOD formula over-approximates, so it is gated as a superset.
+ALGORITHMS: dict[str, Algorithm] = {
+    "ntscd-new": Algorithm("ntscd", lambda g, o: ntscd_new(g), "equal"),
+    "ntscd-vp": Algorithm("ntscd", lambda g, o: ntscd_from_vp(g, vp_sets(g)), "equal"),
+    "ntscd-rang": Algorithm("ntscd", lambda g, o: ntscd_ranganath(g, o.policy), None),
+    "ntscd-rang-fixed": Algorithm("ntscd", lambda g, o: ntscd_ranganath_fixed(g), "equal"),
+    "dod-new": Algorithm("dod", lambda g, o: dod_new(g), "equal"),
+    "dod-formula": Algorithm("dod", lambda g, o: dod_formula(g, "original"), "superset"),
+    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula(g, "fixed"), "equal"),
+    "cc": Algorithm("closure", lambda g, o: strong_closure(g, o.spec), None),
 }
+
+ORACLES: dict[str, Callable[[Cfg], frozenset]] = {"ntscd": oracle_ntscd, "dod": oracle_dod}
 
 
 def _parse_policy(text: str) -> WorklistPolicy:
@@ -53,22 +78,6 @@ def _parse_policy(text: str) -> WorklistPolicy:
             raise ValueError("empty explicit order")
         return labels
     raise ValueError(f"bad policy {text!r}; expected fifo, lifo, or order:n1,n2,...")
-
-
-def resolve_algorithm(algo: str, policy: WorklistPolicy = "fifo") -> Callable[[Cfg], frozenset]:
-    """Relation-producing callable for an algorithm id (everything but cc)."""
-    table: dict[str, Callable[[Cfg], frozenset]] = {
-        "ntscd-new": ntscd_new,
-        "ntscd-vp": lambda g: ntscd_from_vp(g, vp_sets(g)),
-        "ntscd-rang": lambda g: ntscd_ranganath(g, policy),
-        "ntscd-rang-fixed": ntscd_ranganath_fixed,
-        "dod-new": dod_new,
-        "dod-formula": lambda g: dod_formula(g, "original"),
-        "dod-formula-fixed": lambda g: dod_formula(g, "fixed"),
-    }
-    if algo not in table:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return table[algo]
 
 
 def _load_graph(path: str, fmt: str) -> Cfg:
@@ -86,127 +95,92 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _run_timed(fn: Callable[[Cfg], frozenset], g: Cfg) -> tuple[frozenset, int]:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input, args.format)
+    algo = ALGORITHMS[args.algo]
+    if algo.kind != "closure":
+        opts = RunOptions(policy=_parse_policy(args.policy))
+    elif not args.criterion or not args.start:
+        raise ValueError("cc requires --criterion and --start")
+    else:
+        opts = RunOptions(spec=ClosureSpec(w=frozenset(args.criterion.split(",")), start=args.start))
     start = time.perf_counter_ns()
-    result = fn(g)
+    result = algo.run(g, opts)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    return result, elapsed_us
-
-
-def _report(g: Cfg, algo: str, kind: str, result, elapsed_us: int) -> dict:
-    report: dict = {
+    report = {
         "graph": {
             "nodes": len(g),
             "edges": g.n_edges,
             "predicates": len(predicates(g)),
         },
-        "algo": algo,
+        "algo": args.algo,
+        algo.kind: sorted(result),
+        "time_us": elapsed_us,
     }
-    if kind == "ntscd":
-        report["ntscd"] = sorted(list(pair) for pair in result)
-    elif kind == "dod":
-        report["dod"] = sorted(list(triple) for triple in result)
-    else:
-        report["closure"] = sorted(result)
-    report["time_us"] = elapsed_us
-    return report
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input, args.format)
-    kind = ALGO_KINDS.get(args.algo)
-    if kind is None:
-        raise ValueError(f"unknown algorithm {args.algo!r}")
-    if args.algo == "cc":
-        if not args.criterion or not args.start:
-            raise ValueError("cc requires --criterion and --start")
-        spec = ClosureSpec(w=frozenset(args.criterion.split(",")), start=args.start)
-        start = time.perf_counter_ns()
-        result: frozenset = strong_closure(g, spec)
-        elapsed_us = (time.perf_counter_ns() - start) // 1000
-    else:
-        fn = resolve_algorithm(args.algo, _parse_policy(args.policy))
-        result, elapsed_us = _run_timed(fn, g)
-    report = _report(g, args.algo, kind, result, elapsed_us)
     _write_text(args.output, json.dumps(report, indent=2))
     return 0
-
-
-def _format_item(item) -> str:
-    if isinstance(item, tuple):
-        return "(" + ",".join(item) + ")"
-    return str(item)
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     if len(args.algo) != 2:
         raise ValueError("diff needs exactly two --algo options")
     first_id, second_id = args.algo
-    kinds = [ALGO_KINDS.get(a) for a in args.algo]
-    if None in kinds:
-        raise ValueError(f"unknown algorithm in {args.algo}")
-    if kinds[0] != kinds[1]:
-        raise ValueError(f"cannot diff a {kinds[0]} relation against a {kinds[1]} relation")
-    if "cc" in args.algo:
+    first_kind, second_kind = (ALGORITHMS[a].kind for a in args.algo)
+    if first_kind != second_kind:
+        raise ValueError(f"cannot diff a {first_kind} relation against a {second_kind} relation")
+    if first_kind == "closure":
         raise ValueError("diff does not support cc")
     g = _load_graph(args.input, args.format)
-    policy = _parse_policy(args.policy)
-    first = resolve_algorithm(first_id, policy)(g)
-    second = resolve_algorithm(second_id, policy)(g)
+    opts = RunOptions(policy=_parse_policy(args.policy))
+    first = ALGORITHMS[first_id].run(g, opts)
+    second = ALGORITHMS[second_id].run(g, opts)
     if first == second:
         print(f"{first_id} == {second_id}: {len(first)} entries")
         return 0
     for item in sorted(second - first):
-        print("+" + _format_item(item))
+        print("+(" + ",".join(item) + ")")
     for item in sorted(first - second):
-        print("-" + _format_item(item))
+        print("-(" + ",".join(item) + ")")
     return 1
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    if args.shape == "random":
-        if args.nodes is None or args.edges is None:
+def make_graph(shape: str, nodes: int | None, edges: int | None, depth: int | None, seed: int) -> Cfg:
+    """One graph of a ``gen``/``bench`` shape; sizes the shape does not read are ignored."""
+    if shape == "random":
+        if nodes is None or edges is None:
             raise ValueError("--shape random requires --nodes and --edges")
-        g = random_cfg(args.nodes, args.edges, args.seed)
-    elif args.shape == "reducible":
-        if args.depth is None:
+        return random_cfg(nodes, edges, seed)
+    if shape == "reducible":
+        if depth is None:
             raise ValueError("--shape reducible requires --depth")
-        g = random_reducible_cfg(args.depth, args.seed)
-    elif args.shape == "dod-worst":
-        if args.nodes is None:
+        return random_reducible_cfg(depth, seed)
+    if shape == "dod-worst":
+        if nodes is None:
             raise ValueError("--shape dod-worst requires --nodes")
-        g = worst_case_dod_cfg(args.nodes)
-    else:
-        raise ValueError(f"unknown shape {args.shape!r}")
+        return worst_case_dod_cfg(nodes)
+    raise ValueError(f"unknown shape {shape!r}")
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    g = make_graph(args.shape, args.nodes, args.edges, args.depth, args.seed)
     _write_text(args.output, serialize_cfg(g, args.format))
     return 0
 
 
 def differential_failures(g: Cfg) -> list[str]:
     """Run every correctness-gated algorithm variant plus the oracle on one
-    graph; returns human-readable descriptions of any disagreements.
-
-    ntscd-rang under a popping policy is deliberately not gated here: it is
-    known to be order-sensitive and wrong on some graphs.
-    """
+    graph; returns human-readable descriptions of any disagreements."""
+    truth = {kind: oracle(g) for kind, oracle in ORACLES.items()}
+    opts = RunOptions()
     failures: list[str] = []
-    reference_ntscd = ntscd_new(g)
-    vp = vp_sets(g)
-    if ntscd_from_vp(g, vp) != reference_ntscd:
-        failures.append("ntscd-vp disagrees with ntscd-new")
-    if ntscd_ranganath_fixed(g) != reference_ntscd:
-        failures.append("ntscd-rang-fixed disagrees with ntscd-new")
-    truth_ntscd = oracle_ntscd(g)
-    if reference_ntscd != truth_ntscd:
-        failures.append("ntscd-new disagrees with the oracle")
-    reference_dod = dod_new(g)
-    truth_dod = oracle_dod(g)
-    if reference_dod != truth_dod:
-        failures.append("dod-new disagrees with the oracle")
-    if dod_formula(g, "fixed") != reference_dod:
-        failures.append("dod-formula-fixed disagrees with dod-new")
-    if not dod_formula(g, "original") >= reference_dod:
-        failures.append("dod-formula (original) is not a superset of dod-new")
+    for algo_id, algo in ALGORITHMS.items():
+        if algo.gate is None:
+            continue
+        result = algo.run(g, opts)
+        if algo.gate == "equal" and result != truth[algo.kind]:
+            failures.append(f"{algo_id} disagrees with the oracle")
+        elif algo.gate == "superset" and not result >= truth[algo.kind]:
+            failures.append(f"{algo_id} is not a superset of the oracle")
     return failures
 
 
@@ -231,9 +205,9 @@ def worker_count() -> int:
     env = os.environ.get("CTRLDEP_THREADS")
     if env is None:
         return 1
+    if not env.strip().isdecimal():
+        raise ValueError(f"CTRLDEP_THREADS must be an integer >= 0, got {env!r}")
     value = int(env)
-    if value < 0:
-        raise ValueError("CTRLDEP_THREADS must be >= 0")
     return value if value > 0 else (os.cpu_count() or 1)
 
 
@@ -249,6 +223,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         print("ok: all algorithm variants agree on the input graph")
         return 0
+    if args.max_nodes < 2:
+        raise ValueError(f"--max-nodes must be at least 2, got {args.max_nodes}")
     if args.max_nodes > ORACLE_MAX_NODES:
         raise BudgetError(f"--max-nodes {args.max_nodes} exceeds the oracle budget of {ORACLE_MAX_NODES}")
     cases = check_cases(args.count, args.max_nodes, args.seed)
@@ -273,10 +249,11 @@ def _dump_mismatch(g: Cfg, failures: list[str], path: str) -> None:
     print(f"mismatch (graph written to {path}):")
     for line in failures:
         print("  " + line)
-    print("  ntscd-new:        " + json.dumps(sorted(list(x) for x in ntscd_new(g))))
-    print("  oracle ntscd:     " + json.dumps(sorted(list(x) for x in oracle_ntscd(g))))
-    print("  dod-new:          " + json.dumps(sorted(list(x) for x in dod_new(g))))
-    print("  oracle dod:       " + json.dumps(sorted(list(x) for x in oracle_dod(g))))
+    for kind, oracle in ORACLES.items():
+        print(f"  oracle {kind}:".ljust(22) + json.dumps(sorted(oracle(g))))
+        for algo_id, algo in ALGORITHMS.items():
+            if algo.kind == kind and algo.gate is not None:
+                print(f"  {algo_id}:".ljust(22) + json.dumps(sorted(algo.run(g, RunOptions()))))
 
 
 @dataclass(frozen=True)
@@ -304,8 +281,11 @@ def time_algorithm(fn: Callable[[Cfg], object], g: Cfg, reps: int) -> tuple[floa
     return (sum(timings) / len(timings)) / 1000.0, min(timings) / 1000.0
 
 
-def _parse_sweep(text: str) -> list[int]:
-    """Sweep syntax: a plain integer, or 'start..stop:step' (inclusive)."""
+def _parse_sweep(text: str) -> list[int | None]:
+    """Sweep syntax: a plain integer, or 'start..stop:step' (inclusive); an
+    empty flag sweeps the one value None."""
+    if not text:
+        return [None]
     if ".." in text:
         span, _, step_text = text.partition(":")
         start_text, _, stop_text = span.partition("..")
@@ -316,72 +296,43 @@ def _parse_sweep(text: str) -> list[int]:
     return [int(text)]
 
 
-def bench_sweep(
-    shape: str,
-    algos: Sequence[str],
-    nodes_list: Sequence[int],
-    edges_list: Sequence[int],
-    depth_list: Sequence[int],
-    seed: int,
-    reps: int,
-) -> list[BenchRecord]:
-    cells: list[tuple[int, Cfg]] = []
-    if shape == "random":
-        if not edges_list:
-            raise ValueError("--shape random requires --edges")
-        for n in nodes_list:
-            for m in edges_list:
-                cells.append((n, random_cfg(n, m, seed)))
-    elif shape == "reducible":
-        if not depth_list:
-            raise ValueError("--shape reducible requires --depth")
-        for d in depth_list:
-            cells.append((d, random_reducible_cfg(d, seed)))
-    elif shape == "dod-worst":
-        for n in nodes_list:
-            cells.append((n, worst_case_dod_cfg(n)))
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-    records = []
-    for algo in algos:
-        fn = resolve_algorithm(algo)
-        for _, g in cells:
-            mean_us, min_us = time_algorithm(fn, g, reps)
-            records.append(
-                BenchRecord(
-                    algo=algo,
-                    shape=shape,
-                    nodes=len(g),
-                    edges=g.n_edges,
-                    seed=seed,
-                    reps=reps,
-                    mean_us=round(mean_us, 1),
-                    min_us=round(min_us, 1),
-                )
-            )
-    return records
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     algos = [a for a in args.algos.split(",") if a]
     if not algos:
         raise ValueError("empty algorithm list")
     for a in algos:
-        resolve_algorithm(a)  # validate early; cc is not benchable
-    records = bench_sweep(
-        shape=args.shape,
-        algos=algos,
-        nodes_list=_parse_sweep(args.nodes),
-        edges_list=_parse_sweep(args.edges) if args.edges else [],
-        depth_list=_parse_sweep(args.depth) if args.depth else [],
-        seed=args.seed,
-        reps=args.reps,
-    )
+        if a not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {a!r}")
+        if ALGORITHMS[a].kind == "closure":
+            raise ValueError(f"{a} needs a criterion set and a start node, so bench cannot time it; use analyze")
+    cells: list[Cfg] = []
+    for n, m, d in product(_parse_sweep(args.nodes), _parse_sweep(args.edges), _parse_sweep(args.depth)):
+        g = make_graph(args.shape, n, m, d, args.seed)
+        if g not in cells:  # a shape ignores the sizes it does not read
+            cells.append(g)
+    records = []
+    for algo_id in algos:
+        run = ALGORITHMS[algo_id].run
+        for g in cells:
+            mean_us, min_us = time_algorithm(lambda gg: run(gg, RunOptions()), g, args.reps)
+            records.append(
+                BenchRecord(
+                    algo=algo_id,
+                    shape=args.shape,
+                    nodes=len(g),
+                    edges=g.n_edges,
+                    seed=args.seed,
+                    reps=args.reps,
+                    mean_us=round(mean_us, 1),
+                    min_us=round(min_us, 1),
+                )
+            )
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algo", "shape", "nodes", "edges", "seed", "reps", "mean_us", "min_us"])
-        for r in records:
-            writer.writerow([r.algo, r.shape, r.nodes, r.edges, r.seed, r.reps, r.mean_us, r.min_us])
+        writer.writerow(f.name for f in fields(BenchRecord))
+        writer.writerows(astuple(r) for r in records)
     print(f"wrote {len(records)} rows to {args.csv}")
     return 0
 
@@ -393,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run one algorithm and report the relation")
     analyze.add_argument("--input", required=True)
     analyze.add_argument("--format", choices=("json", "edgelist"), default="json")
-    analyze.add_argument("--algo", required=True, choices=sorted(ALGO_KINDS))
+    analyze.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     analyze.add_argument("--policy", default="fifo", help="fifo, lifo, or order:n1,n2,... (ntscd-rang only)")
     analyze.add_argument("--criterion", default="", help="comma-separated node labels (cc only)")
     analyze.add_argument("--start", default="", help="start node (cc only)")
@@ -403,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser("diff", help="compare two algorithms on one graph")
     diff.add_argument("--input", required=True)
     diff.add_argument("--format", choices=("json", "edgelist"), default="json")
-    diff.add_argument("--algo", action="append", required=True, help="give exactly twice")
+    diff.add_argument("--algo", action="append", required=True, choices=sorted(ALGORITHMS), help="give exactly twice")
     diff.add_argument("--policy", default="fifo")
     diff.set_defaults(func=cmd_diff)
 

@@ -149,6 +149,9 @@ def _run_ranganath(g: Cfg, policy: WorklistPolicy) -> list[list[int]]:
     elif isinstance(policy, str):
         raise ValueError(f"unknown worklist policy {policy!r}")
     else:
+        unknown = [lab for lab in policy if lab not in g.index]
+        if unknown:
+            raise ValueError(f"explicit order names unknown node {unknown[0]!r}")
         order = [g.index[lab] for lab in policy]
         sbag: set[int] = set()
         push = sbag.add

@@ -7,9 +7,25 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from ctrldep import (
+    ClosureSpec,
+    cli,
+    dod_formula,
+    dod_new,
+    ntscd_from_vp,
+    ntscd_new,
+    ntscd_ranganath,
+    ntscd_ranganath_fixed,
+    parse_cfg,
+    serialize_cfg,
+    strong_closure,
+    vp_sets,
+)
 
 FIG3 = '{"nodes":["1","2","3","4","5","6"],"edges":[["1","2"],["1","6"],["2","3"],["2","4"],["3","5"],["4","5"],["5","6"]]}'
 FIG4 = '{"nodes":["a","b","c"],"edges":[["a","b"],["a","c"],["b","c"],["c","b"]]}'
@@ -230,3 +246,115 @@ def test_bench_empty_algos_exit_2(tmp_path):
         "--algos", "", "--csv", str(tmp_path / "b.csv"),
     )
     assert proc.returncode == 2
+
+
+# Each algorithm id's report key, its check gate, and the library call it
+# must agree with; cc takes the first and last node as its criterion and
+# starts at the first.
+LIBRARY = {
+    "ntscd-new": ("ntscd", "equal", ntscd_new),
+    "ntscd-vp": ("ntscd", "equal", lambda g: ntscd_from_vp(g, vp_sets(g))),
+    "ntscd-rang": ("ntscd", None, lambda g: ntscd_ranganath(g, "fifo")),
+    "ntscd-rang-fixed": ("ntscd", "equal", ntscd_ranganath_fixed),
+    "dod-new": ("dod", "equal", dod_new),
+    "dod-formula": ("dod", "superset", lambda g: dod_formula(g, "original")),
+    "dod-formula-fixed": ("dod", "equal", lambda g: dod_formula(g, "fixed")),
+    "cc": (
+        "closure",
+        None,
+        lambda g: strong_closure(g, ClosureSpec(w=frozenset({g.labels[0], g.labels[-1]}), start=g.labels[0])),
+    ),
+}
+
+
+def test_algorithm_table_kinds_and_gates():
+    table = {algo: (row.kind, row.gate) for algo, row in cli.ALGORITHMS.items()}
+    assert table == {algo: (kind, gate) for algo, (kind, gate, _) in LIBRARY.items()}
+
+
+@pytest.mark.parametrize("algo", sorted(cli.ALGORITHMS))
+def test_analyze_matches_the_library_for_every_id(algo, tmp_path, capsys):
+    key, _, library = LIBRARY[algo]
+    for name, text in (("fig3", FIG3), ("fig4", FIG4), ("fig5", FIG5)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        g = parse_cfg(text)
+        argv = ["analyze", "--input", str(path), "--algo", algo]
+        if algo == "cc":
+            argv += ["--criterion", f"{g.labels[0]},{g.labels[-1]}", "--start", g.labels[0]]
+        assert cli.main(argv) == 0, name
+        report = json.loads(capsys.readouterr().out)
+        assert report["algo"] == algo
+        assert report[key] == json.loads(json.dumps(sorted(library(g)))), name
+        assert set(report) == {"graph", "algo", key, "time_us"}
+
+
+GATED = sorted(a for a, row in cli.ALGORITHMS.items() if row.gate is not None)
+
+
+@pytest.mark.parametrize("algo", GATED)
+def test_gate_names_a_wrong_gated_variant(algo, fig7, tmp_path, capsys, monkeypatch):
+    # fig7's NTSCD and DOD relations are both non-empty, so an empty result
+    # fails the "equal" and the "superset" gate alike.
+    wrong = replace(cli.ALGORITHMS[algo], run=lambda g, o: frozenset())
+    monkeypatch.setitem(cli.ALGORITHMS, algo, wrong)
+    failures = cli.differential_failures(fig7)
+    assert len(failures) == 1 and failures[0].startswith(algo + " "), failures
+    path = tmp_path / "fig7.json"
+    path.write_text(serialize_cfg(fig7))
+    fail_out = tmp_path / "mismatch.json"
+    assert cli.main(["check", "--input", str(path), "--fail-out", str(fail_out)]) == 1
+    out = capsys.readouterr().out
+    assert failures[0] in out
+    assert f"  {algo}:" in out and "  oracle ntscd:" in out and "  oracle dod:" in out
+    assert parse_cfg(fail_out.read_text()) == fig7
+
+
+def test_gate_ignores_a_wrong_ntscd_rang(fig7, monkeypatch):
+    wrong = replace(cli.ALGORITHMS["ntscd-rang"], run=lambda g, o: frozenset())
+    monkeypatch.setitem(cli.ALGORITHMS, "ntscd-rang", wrong)
+    assert cli.differential_failures(fig7) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "diff"])
+def test_unknown_label_in_explicit_order_exit_2(command, fig3_file):
+    argv = ["--input", fig3_file, "--algo", "ntscd-rang", "--policy", "order:3,zz"]
+    if command == "diff":
+        argv += ["--algo", "ntscd-new"]
+    proc = run_cli(command, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "unknown node 'zz'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bench_reps_below_1_exit_2(tmp_path):
+    out = tmp_path / "b.csv"
+    proc = run_cli(
+        "bench", "--shape", "random", "--nodes", "10", "--edges", "5",
+        "--reps", "0", "--algos", "ntscd-new", "--csv", str(out),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--reps must be at least 1" in proc.stderr
+    assert not out.exists()
+
+
+def test_bench_rejects_cc_with_a_reason(tmp_path):
+    proc = run_cli(
+        "bench", "--shape", "random", "--nodes", "10", "--edges", "5",
+        "--algos", "ntscd-new,cc", "--csv", str(tmp_path / "b.csv"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cc needs a criterion" in proc.stderr
+    assert "bench cannot time it" in proc.stderr
+
+
+def test_check_bad_thread_env_exit_2(tmp_path):
+    proc = run_cli("check", "--count", "2", cwd=tmp_path, env=cli_env(CTRLDEP_THREADS="abc"))
+    assert proc.returncode == 2, proc.stderr
+    assert "CTRLDEP_THREADS must be an integer >= 0, got 'abc'" in proc.stderr
+
+
+def test_check_max_nodes_below_2_exit_2(tmp_path):
+    proc = run_cli("check", "--count", "1", "--max-nodes", "1", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--max-nodes must be at least 2" in proc.stderr

@@ -80,6 +80,11 @@ def test_ranganath_explicit_order_must_cover_pushed_nodes(fig3):
         ntscd_ranganath(fig3, ["3"])
 
 
+def test_ranganath_explicit_order_rejects_unknown_labels(fig3):
+    with pytest.raises(ValueError, match="unknown node 'zz'"):
+        ntscd_ranganath(fig3, ["3", "zz", "4"])
+
+
 def test_ranganath_fixed_fig3(fig3):
     rel, table = ntscd_ranganath_fixed_with_table(fig3)
     assert rel == FIG3_NTSCD
