@@ -9,11 +9,9 @@ brute-force semantic oracles, graph generators, and a benchmark harness.
 from .cfg import (
     Cfg,
     ParseError,
-    SccPartition,
     parse_cfg,
     predicates,
     reachable_set,
-    sccs,
     serialize_cfg,
 )
 from .closures import (
@@ -64,11 +62,9 @@ from .oracle import (
 __all__ = [
     "Cfg",
     "ParseError",
-    "SccPartition",
     "parse_cfg",
     "serialize_cfg",
     "predicates",
-    "sccs",
     "reachable_set",
     "random_cfg",
     "random_reducible_cfg",

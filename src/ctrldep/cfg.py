@@ -12,8 +12,7 @@ take it as an argument.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Iterable, Sequence
 
 FORMATS = ("json", "edgelist")
 
@@ -99,104 +98,45 @@ def predicates(g: Cfg) -> frozenset[str]:
     return frozenset(g.labels[i] for i in predicate_indices(g))
 
 
-def reachable_set(g: Cfg, label: str) -> frozenset[str]:
-    """All nodes reachable from ``label``, including itself."""
-    start = g.index[label]
-    seen = {start}
-    stack = [start]
+def reach(adj: Sequence[Sequence[int]], starts: Iterable[int], avoid: Container[int] = ()) -> set[int]:
+    """Indices reachable from ``starts`` (inclusive) along ``adj``, which is
+    ``g.succs`` for forward or ``g.preds`` for backward reachability,
+    without entering a node of ``avoid``."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        for t in g.succs[stack.pop()]:
-            if t not in seen:
+        for t in adj[stack.pop()]:
+            if t not in seen and t not in avoid:
                 seen.add(t)
                 stack.append(t)
-    return frozenset(g.labels[i] for i in seen)
+    return seen
 
 
-@dataclass(frozen=True)
-class SccPartition:
-    """Strongly connected components with trivial/terminal flags.
-
-    A component is trivial when it is a singleton inducing no edge (so a
-    self-loop makes a singleton nontrivial) and terminal when no edge
-    leaves it.
-    """
-
-    labels: tuple[str, ...]
-    component_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-    trivial: tuple[bool, ...]
-    terminal: tuple[bool, ...]
-
-    def component_id(self, label: str) -> int:
-        return self.component_of[self.labels.index(label)]
-
-    def component(self, label: str) -> frozenset[str]:
-        cid = self.component_id(label)
-        return frozenset(self.labels[i] for i in self.members[cid])
-
-    def components(self) -> list[frozenset[str]]:
-        return [frozenset(self.labels[i] for i in mem) for mem in self.members]
+def first_hits(g: Cfg, starts: Iterable[int], inside: Container[int]) -> set[int]:
+    """Members of ``inside`` first reached from ``starts`` through
+    non-members only.  A start that is itself a member is its own hit and
+    is not searched past."""
+    hits: set[int] = set()
+    seen: set[int] = set()
+    for s in starts:
+        if s in inside:
+            hits.add(s)
+        else:
+            seen.add(s)
+    stack = list(seen)
+    while stack:
+        for t in g.succs[stack.pop()]:
+            if t in inside:
+                hits.add(t)
+            elif t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return hits
 
 
-def sccs(g: Cfg) -> SccPartition:
-    """Partition nodes by mutual reachability (iterative Tarjan)."""
-    n = len(g.labels)
-    order = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    component_of = [-1] * n
-    members: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        frames: list[tuple[int, int]] = [(root, 0)]
-        while frames:
-            v, i = frames.pop()
-            if i < len(g.succs[v]):
-                frames.append((v, i + 1))
-                w = g.succs[v][i]
-                if order[w] == -1:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = 1
-                    frames.append((w, 0))
-                elif on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                if frames and low[v] < low[frames[-1][0]]:
-                    low[frames[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    comp: list[int] = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        component_of[w] = len(members)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    members.append(tuple(comp))
-    trivial = []
-    terminal = []
-    for cid, mem in enumerate(members):
-        mem_set = set(mem)
-        has_inner = any(t in mem_set for v in mem for t in g.succs[v])
-        leaves = any(t not in mem_set for v in mem for t in g.succs[v])
-        trivial.append(len(mem) == 1 and not has_inner)
-        terminal.append(not leaves)
-    return SccPartition(
-        labels=g.labels,
-        component_of=tuple(component_of),
-        members=tuple(members),
-        trivial=tuple(trivial),
-        terminal=tuple(terminal),
-    )
+def reachable_set(g: Cfg, label: str) -> frozenset[str]:
+    """All nodes reachable from ``label``, including itself."""
+    return frozenset(g.labels[i] for i in reach(g.succs, (g.index[label],)))
 
 
 def parse_cfg(text: str, fmt: str = "json") -> Cfg:

@@ -223,6 +223,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         print("ok: all algorithm variants agree on the input graph")
         return 0
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.max_nodes < 2:
         raise ValueError(f"--max-nodes must be at least 2, got {args.max_nodes}")
     if args.max_nodes > ORACLE_MAX_NODES:
@@ -283,7 +285,8 @@ def time_algorithm(fn: Callable[[Cfg], object], g: Cfg, reps: int) -> tuple[floa
 
 def _parse_sweep(text: str) -> list[int | None]:
     """Sweep syntax: a plain integer, or 'start..stop:step' (inclusive); an
-    empty flag sweeps the one value None."""
+    empty flag sweeps the one value None.  Used as an argparse type, so a
+    bad sweep is a usage error that names its flag."""
     if not text:
         return [None]
     if ".." in text:
@@ -291,8 +294,11 @@ def _parse_sweep(text: str) -> list[int | None]:
         start_text, _, stop_text = span.partition("..")
         step = int(step_text) if step_text else 1
         if step <= 0:
-            raise ValueError("sweep step must be positive")
-        return list(range(int(start_text), int(stop_text) + 1, step))
+            raise argparse.ArgumentTypeError("sweep step must be positive")
+        values = list(range(int(start_text), int(stop_text) + 1, step))
+        if not values:
+            raise argparse.ArgumentTypeError(f"range {text!r} sweeps no values")
+        return values
     return [int(text)]
 
 
@@ -308,7 +314,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if ALGORITHMS[a].kind == "closure":
             raise ValueError(f"{a} needs a criterion set and a start node, so bench cannot time it; use analyze")
     cells: list[Cfg] = []
-    for n, m, d in product(_parse_sweep(args.nodes), _parse_sweep(args.edges), _parse_sweep(args.depth)):
+    for n, m, d in product(args.nodes, args.edges, args.depth):
         g = make_graph(args.shape, n, m, d, args.seed)
         if g not in cells:  # a shape ignores the sizes it does not read
             cells.append(g)
@@ -379,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="timing sweep written as CSV")
     bench.add_argument("--shape", default="random", choices=("random", "reducible", "dod-worst"))
-    bench.add_argument("--nodes", default="500", help="int or start..stop:step")
-    bench.add_argument("--edges", default="", help="int or start..stop:step (random shape)")
-    bench.add_argument("--depth", default="", help="int or start..stop:step (reducible shape)")
+    bench.add_argument("--nodes", default="500", type=_parse_sweep, help="int or start..stop:step")
+    bench.add_argument("--edges", default="", type=_parse_sweep, help="int or start..stop:step (random shape)")
+    bench.add_argument("--depth", default="", type=_parse_sweep, help="int or start..stop:step (reducible shape)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--reps", type=int, default=10)
     bench.add_argument("--algos", required=True, help="comma-separated algorithm ids")

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cfg import Cfg, reachable_set
+from .cfg import Cfg, first_hits, reach, reachable_set
 from .coloring import Coloring
 from .dod import DodRelation, dod_and_ntscd
 from .ntscd import NtscdRelation
@@ -51,17 +51,7 @@ def theta(g: Cfg, v: str, vset: Iterable[str]) -> frozenset[str]:
     vi = g.index[v]
     if vi in inside:
         raise ValueError(f"{v!r} is a member of the set")
-    hits: set[int] = set()
-    seen = {vi}
-    stack = [vi]
-    while stack:
-        for t in g.succs[stack.pop()]:
-            if t in inside:
-                hits.add(t)
-            elif t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(g.labels[i] for i in hits)
+    return frozenset(g.labels[i] for i in first_hits(g, (vi,), inside))
 
 
 def is_strongly_control_closed(g: Cfg, vset: Iterable[str]) -> ClosureVerdict:
@@ -75,32 +65,16 @@ def is_strongly_control_closed(g: Cfg, vset: Iterable[str]) -> ClosureVerdict:
     if not inside:
         return ClosureVerdict(closed=True)
     labels = g.labels
-    # Outside nodes reachable from the set.
-    seen = set(inside)
-    stack = list(inside)
-    while stack:
-        for t in g.succs[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    reachable_from_set = seen - inside
-    # Outside nodes that can reach the set (walk reverse edges).
-    can_return = set(inside)
-    stack = list(inside)
-    while stack:
-        for t in g.preds[stack.pop()]:
-            if t not in can_return:
-                can_return.add(t)
-                stack.append(t)
+    reachable_from_set = reach(g.succs, inside) - inside
+    can_return = reach(g.preds, inside)
     forced = Coloring(g)
     forced.run(inside)
-    inside_labels = [labels[i] for i in inside]
     for v in sorted(reachable_from_set, key=lambda i: labels[i]):
         if v not in can_return:
             continue
         if not forced.is_red(v):
             return ClosureVerdict(closed=False, witness=(labels[v], "escapes-then-returns"))
-        if len(theta(g, labels[v], inside_labels)) > 1:
+        if len(first_hits(g, (v,), inside)) > 1:
             return ClosureVerdict(closed=False, witness=(labels[v], "theta-ambiguous"))
     return ClosureVerdict(closed=True)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cfg import Cfg
+from .cfg import Cfg, reach
 
 
 class Coloring:
@@ -128,12 +128,6 @@ class VpMap:
     def __getitem__(self, label: str) -> frozenset[str]:
         return frozenset(self.labels[i] for i in self.index_sets[self.index[label]])
 
-    def sorted_lists(self) -> dict[str, list[str]]:
-        return {
-            lab: sorted(self.labels[i] for i in s)
-            for lab, s in zip(self.labels, self.index_sets)
-        }
-
 
 def vp_sets(g: Cfg) -> VpMap:
     """Compute the on-all-maximal-paths set for every node.
@@ -149,18 +143,6 @@ def vp_sets(g: Cfg) -> VpMap:
         for m in eng.run((r,)):
             sets[m].add(r)
     return VpMap(g.labels, g.index, [frozenset(s) for s in sets])
-
-
-def _reach_avoiding(g: Cfg, start: int, banned: int) -> set[int]:
-    """Indices reachable from ``start`` (inclusive) without entering ``banned``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for t in g.succs[stack.pop()]:
-            if t != banned and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
 
 
 def first_before_on_all(g: Cfg, start: str, first: str, second: str) -> bool:
@@ -183,4 +165,4 @@ def first_before_on_all(g: Cfg, start: str, first: str, second: str) -> bool:
         return True
     if s == b:
         return False
-    return b not in _reach_avoiding(g, s, a)
+    return b not in reach(g.succs, (s,), (a,))

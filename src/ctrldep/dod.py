@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .cfg import Cfg, predicate_indices, sccs
-from .coloring import VpMap, _reach_avoiding, vp_sets
+from .cfg import Cfg, first_hits, predicate_indices, reach
+from .coloring import VpMap, vp_sets
 from .ntscd import NtscdRelation, ntscd_from_vp
 
 DodRelation = frozenset[tuple[str, str, str]]
@@ -65,25 +65,13 @@ def build_ap(g: Cfg, p: str, vp_of_p: Iterable[str]) -> ProjectionGraph:
     """Projection graph over ``vp_of_p``: edge (n, m) iff some path n...m
     keeps all interior nodes outside the set.
 
-    Built by one depth-first search per member, stopping whenever a member
-    is found.
+    Built by one first-hit search per member, from its successors.
     """
     vp_idx = {g.index[x] for x in vp_of_p}
     labels = g.labels
     succ: dict[str, tuple[str, ...]] = {}
     for v in sorted(vp_idx, key=lambda i: labels[i]):
-        hits: set[int] = set()
-        seen: set[int] = set()
-        stack = list(g.succs[v])
-        while stack:
-            x = stack.pop()
-            if x in vp_idx:
-                hits.add(x)
-                continue
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(g.succs[x])
+        hits = first_hits(g, g.succs[v], vp_idx)
         succ[labels[v]] = tuple(sorted(labels[h] for h in hits))
     return ProjectionGraph(p=p, nodes=tuple(sorted(labels[i] for i in vp_idx)), succ=succ)
 
@@ -98,24 +86,8 @@ def compute_v1_v2(g: Cfg, p: str, vp_of_p: Iterable[str]) -> SuccessorClasses:
         raise ValueError(f"{p!r} is not a predicate")
     vp_idx = {g.index[x] for x in vp_of_p}
     labels = g.labels
-
-    def first_hits(s: int) -> frozenset[str]:
-        if s in vp_idx:
-            return frozenset((labels[s],))
-        hits: set[int] = set()
-        seen = {s}
-        stack = [s]
-        while stack:
-            for t in g.succs[stack.pop()]:
-                if t in vp_idx:
-                    hits.add(t)
-                elif t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(labels[h] for h in hits)
-
-    v1 = first_hits(targets[0])
-    v2 = first_hits(targets[1])
+    v1 = frozenset(labels[h] for h in first_hits(g, (targets[0],), vp_idx))
+    v2 = frozenset(labels[h] for h in first_hits(g, (targets[1],), vp_idx))
     u = frozenset(labels[i] for i in vp_idx) - {p} - v1 - v2
     return SuccessorClasses(v1=v1, v2=v2, u=u)
 
@@ -214,12 +186,7 @@ def _assert_projection_shape(ap: ProjectionGraph, classes: SuccessorClasses) -> 
         raise ProjectionStructureError("projection successors disagree with the branch classes")
 
 
-def _dod_for_predicate(
-    g: Cfg,
-    p: str,
-    vp_of_p: frozenset[str],
-    unfold_start: str | None = None,
-) -> set[tuple[str, str, str]]:
+def _dod_for_predicate(g: Cfg, p: str, vp_of_p: frozenset[str]) -> set[tuple[str, str, str]]:
     # Dependent pairs are distinct members other than p, so fewer than
     # three members means the answer is empty with no graph walk at all.
     if len(vp_of_p) < 3:
@@ -231,7 +198,7 @@ def _dod_for_predicate(
     _assert_projection_shape(ap, classes)
     if classes.v1 & classes.v2:
         return set()
-    seq = unfold_cycle(ap, classes.v1 if unfold_start is None else (unfold_start,))
+    seq = unfold_cycle(ap, classes.v1)
     if not match_unfolding_pattern(seq, classes):
         return set()
     segments = extract_segments(seq, classes)
@@ -279,25 +246,15 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
     labels = g.labels
     if n == 0:
         return frozenset()
-    vp = vp_sets(g)
-    vsets = vp.index_sets
-    if variant == "original":
-        part = sccs(g)
-        comp_mask = [0] * len(part.members)
-        for cid, mem in enumerate(part.members):
-            mask = 0
-            for i in mem:
-                mask |= 1 << i
-            comp_mask[cid] = mask
-        mutual = [comp_mask[part.component_of[i]] & ~(1 << i) for i in range(n)]
-    else:
-        mutual = [0] * n
-        for a in range(n):
-            mask = 0
-            for b in vsets[a]:
-                if b != a and a in vsets[b]:
-                    mask |= 1 << b
-            mutual[a] = mask
+    vsets = vp_sets(g).index_sets
+    sets = vsets if variant == "fixed" else [reach(g.succs, (v,)) for v in range(n)]
+    mutual = [0] * n
+    for a in range(n):
+        mask = 0
+        for b in sets[a]:
+            if b != a and a in sets[b]:
+                mask |= 1 << b
+        mutual[a] = mask
 
     all_bits = (1 << n) - 1
     first_masks: dict[tuple[int, int], int] = {}
@@ -312,7 +269,7 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
                 got = all_bits & ~(1 << a)
             else:
                 reached = 0
-                for x in _reach_avoiding(g, s, a):
+                for x in reach(g.succs, (s,), (a,)):
                     reached |= 1 << x
                 got = all_bits & ~reached & ~(1 << a)
             first_masks[key] = got

@@ -181,7 +181,7 @@ def _run_ranganath(g: Cfg, policy: WorklistPolicy) -> list[list[int]]:
     return S
 
 
-def _run_ranganath_fixed(g: Cfg, reverse_order: bool) -> list[list[int]]:
+def _run_ranganath_fixed(g: Cfg) -> list[list[int]]:
     """Workbag-free variant: sweep the loop body over all nodes until the
     symbol table stops changing.  The fixpoint does not depend on the sweep
     order."""
@@ -192,10 +192,9 @@ def _run_ranganath_fixed(g: Cfg, reverse_order: bool) -> list[list[int]]:
     for p in preds_list:
         for slot, r in enumerate(g.succs[p]):
             S[r][ppos[p]] |= 1 << slot
-    order = range(n - 1, -1, -1) if reverse_order else range(n)
     while True:
         grew = False
-        for nd in order:
+        for nd in range(n):
             if _apply_body(nd, S, n, n_preds, ppos, uniq):
                 grew = True
         if not grew:
@@ -250,14 +249,12 @@ def ntscd_ranganath_with_table(
     return _relation_from_table(g, S), _symbol_table(g, S)
 
 
-def ntscd_ranganath_fixed(g: Cfg, reverse_order: bool = False) -> NtscdRelation:
+def ntscd_ranganath_fixed(g: Cfg) -> NtscdRelation:
     """The repaired worklist algorithm: iterate the body over all nodes to a
     fixpoint (O(|V|^5) worst case), then emit from the complete table."""
-    return _relation_from_table(g, _run_ranganath_fixed(g, reverse_order))
+    return _relation_from_table(g, _run_ranganath_fixed(g))
 
 
-def ntscd_ranganath_fixed_with_table(
-    g: Cfg, reverse_order: bool = False
-) -> tuple[NtscdRelation, SymbolTable]:
-    S = _run_ranganath_fixed(g, reverse_order)
+def ntscd_ranganath_fixed_with_table(g: Cfg) -> tuple[NtscdRelation, SymbolTable]:
+    S = _run_ranganath_fixed(g)
     return _relation_from_table(g, S), _symbol_table(g, S)

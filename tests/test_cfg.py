@@ -13,7 +13,6 @@ from ctrldep import (
     predicates,
     random_cfg,
     reachable_set,
-    sccs,
     serialize_cfg,
 )
 
@@ -89,45 +88,6 @@ def test_predicates(fig3):
 def test_duplicated_target_is_not_a_predicate():
     g = Cfg(["x", "y"], [("x", "y"), ("x", "y")])
     assert predicates(g) == frozenset()
-
-
-def test_sccs_fig4(fig4):
-    part = sccs(fig4)
-    assert part.component("a") == {"a"}
-    assert part.trivial[part.component_id("a")]
-    assert part.component("b") == {"b", "c"}
-    cid = part.component_id("b")
-    assert not part.trivial[cid]
-    assert part.terminal[cid]
-
-
-def test_sccs_acyclic_chain():
-    g = Cfg(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    part = sccs(g)
-    assert sorted(map(sorted, part.components())) == [["x"], ["y"], ["z"]]
-    assert all(part.trivial)
-    assert [lab for lab in g.labels if part.terminal[part.component_id(lab)]] == ["z"]
-
-
-def test_sccs_fig1_self_loop(fig1):
-    part = sccs(fig1)
-    d_cid = part.component_id("d")
-    assert part.component("d") == {"d"}
-    assert not part.trivial[d_cid]  # self-loop induces an edge
-    assert not part.terminal[d_cid]
-    e_cid = part.component_id("e")
-    assert part.trivial[e_cid] and part.terminal[e_cid]
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_cfgs(max_nodes=12))
-def test_sccs_agree_with_pairwise_reachability(g):
-    part = sccs(g)
-    reach = {lab: reachable_set(g, lab) for lab in g.labels}
-    for x in g.labels:
-        for y in g.labels:
-            mutual = y in reach[x] and x in reach[y]
-            assert (part.component_id(x) == part.component_id(y)) == mutual
 
 
 def test_reachable_set(fig3, fig4):

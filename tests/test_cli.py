@@ -11,8 +11,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrldep import (
+    Cfg,
     ClosureSpec,
     cli,
     dod_formula,
@@ -25,7 +28,10 @@ from ctrldep import (
     serialize_cfg,
     strong_closure,
     vp_sets,
+    worst_case_dod_cfg,
 )
+
+from conftest import small_cfgs
 
 FIG3 = '{"nodes":["1","2","3","4","5","6"],"edges":[["1","2"],["1","6"],["2","3"],["2","4"],["3","5"],["4","5"],["5","6"]]}'
 FIG4 = '{"nodes":["a","b","c"],"edges":[["a","b"],["a","c"],["b","c"],["c","b"]]}'
@@ -316,6 +322,26 @@ def test_gate_ignores_a_wrong_ntscd_rang(fig7, monkeypatch):
     assert cli.differential_failures(fig7) == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_cfgs(), st.sampled_from([worst_case_dod_cfg(8), worst_case_dod_cfg(12)])), st.data())
+def test_gated_relations_ignore_node_and_edge_order(g, data):
+    # Redeclare the nodes in a drawn order (which is also the sweep order of
+    # ntscd-rang-fixed and the order edges are listed in) and swap the two
+    # out-edges of a drawn set of nodes; labels are kept, so every gated
+    # relation must come out identical.  Small random graphs rarely have a
+    # DOD triple, so the worst-case graphs are drawn too.
+    order = data.draw(st.permutations(g.labels))
+    swapped = data.draw(st.sets(st.sampled_from(g.labels)))
+    edges = []
+    for a in order:
+        succs = g.successors(a)
+        edges += [(a, b) for b in (succs[::-1] if a in swapped else succs)]
+    h = Cfg(order, edges)
+    for algo in GATED:
+        run = cli.ALGORITHMS[algo].run
+        assert run(h, cli.RunOptions()) == run(g, cli.RunOptions()), algo
+
+
 @pytest.mark.parametrize("command", ["analyze", "diff"])
 def test_unknown_label_in_explicit_order_exit_2(command, fig3_file):
     argv = ["--input", fig3_file, "--algo", "ntscd-rang", "--policy", "order:3,zz"]
@@ -358,3 +384,22 @@ def test_check_max_nodes_below_2_exit_2(tmp_path):
     proc = run_cli("check", "--count", "1", "--max-nodes", "1", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "--max-nodes must be at least 2" in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_count_below_1_exit_2(count, tmp_path):
+    proc = run_cli("check", "--count", count, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"--count must be at least 1, got {count}" in proc.stderr
+    assert "ok:" not in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--edges", "--depth"])
+def test_bench_empty_sweep_exit_2(flag, tmp_path):
+    out = tmp_path / "b.csv"
+    sweeps = {"--nodes": "10", "--edges": "5", "--depth": "2", flag: "10..5"}
+    argv = [x for item in sweeps.items() for x in item]
+    proc = run_cli("bench", "--shape", "random", *argv, "--algos", "ntscd-new", "--csv", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {flag}: range '10..5' sweeps no values" in proc.stderr
+    assert not out.exists()

@@ -25,7 +25,7 @@ from ctrldep import (
     vp_sets,
     worst_case_dod_cfg,
 )
-from ctrldep.dod import ProjectionGraph, ProjectionStructureError, _dod_for_predicate
+from ctrldep.dod import ProjectionGraph, ProjectionStructureError
 
 from conftest import small_cfgs
 
@@ -186,13 +186,15 @@ def test_dod_and_ntscd_consistent(fig7):
 
 
 def test_unfold_start_choice_is_irrelevant(fig7):
-    vp = frozenset(vp_sets(fig7)["p"])
+    vp = vp_sets(fig7)["p"]
+    ap = build_ap(fig7, "p", vp)
     classes = compute_v1_v2(fig7, "p", vp)
-    results = {
-        frozenset(_dod_for_predicate(fig7, "p", vp, unfold_start=start))
-        for start in classes.v1
-    }
-    assert len(results) == 1
+    assert len(classes.v1) == 2
+    results = set()
+    for start in classes.v1:
+        segments = extract_segments(unfold_cycle(ap, {start}), classes)
+        results.add(frozenset(("p", *sorted((a, b))) for a in segments.m_segment for b in segments.o_segment))
+    assert results == {frozenset(t for t in dod_new(fig7) if t[0] == "p")}
 
 
 def test_worst_case_counts():
