@@ -12,7 +12,7 @@ take it as an argument.
 from __future__ import annotations
 
 import json
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 FORMATS = ("json", "edgelist")
 
@@ -30,6 +30,9 @@ class Cfg:
         succs:  per-node tuple of successor indices, in edge order.
         preds:  per-node tuple of predecessor indices (exact transpose of
                 ``succs``, duplicates preserved).
+
+    Construction is the one graph validator: ValueError on a duplicate label,
+    or on an edge ``#k`` with an undeclared endpoint or a third out-edge.
     """
 
     __slots__ = ("labels", "index", "succs", "preds")
@@ -43,14 +46,13 @@ class Cfg:
             index[lab] = len(index)
         succ_lists: list[list[int]] = [[] for _ in self.labels]
         pred_lists: list[list[int]] = [[] for _ in self.labels]
-        for src, dst in edges:
-            if src not in index:
-                raise ValueError(f"edge endpoint {src!r} is not a declared node")
-            if dst not in index:
-                raise ValueError(f"edge endpoint {dst!r} is not a declared node")
-            s, d = index[src], index[dst]
+        for k, (src, dst) in enumerate(edges):
+            s = index.get(src)
+            d = index.get(dst)
+            if s is None or d is None:
+                raise ValueError(f"edge #{k}: endpoint {src if s is None else dst!r} is not a declared node")
             if len(succ_lists[s]) == 2:
-                raise ValueError(f"out-degree exceeds 2 for node {src!r}")
+                raise ValueError(f"edge #{k}: out-degree exceeds 2 for node {src!r}")
             succ_lists[s].append(d)
             pred_lists[d].append(s)
         self.index = index
@@ -134,6 +136,14 @@ def first_hits(g: Cfg, starts: Iterable[int], inside: Container[int]) -> set[int
     return hits
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def reachable_set(g: Cfg, label: str) -> frozenset[str]:
     """All nodes reachable from ``label``, including itself."""
     return frozenset(g.labels[i] for i in reach(g.succs, (g.index[label],)))
@@ -166,27 +176,13 @@ def _parse_json(text: str) -> Cfg:
         raise ParseError("'nodes' must be an array of strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be an array of [src, dst] pairs")
-    declared: set[str] = set()
-    for lab in nodes:
-        if lab in declared:
-            raise ParseError(f"duplicate node label {lab!r}")
-        declared.add(lab)
-    out_deg: dict[str, int] = {}
-    pairs: list[tuple[str, str]] = []
     for k, item in enumerate(edges):
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
             raise ParseError(f"edge #{k}: expected a [src, dst] pair of strings")
-        src, dst = item
-        if src not in declared:
-            raise ParseError(f"edge #{k}: endpoint {src!r} is not a declared node")
-        if dst not in declared:
-            raise ParseError(f"edge #{k}: endpoint {dst!r} is not a declared node")
-        deg = out_deg.get(src, 0)
-        if deg == 2:
-            raise ParseError(f"edge #{k}: out-degree exceeds 2 for node {src!r}")
-        out_deg[src] = deg + 1
-        pairs.append((src, dst))
-    return Cfg(nodes, pairs)
+    try:
+        return Cfg(nodes, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_edgelist(text: str) -> Cfg:
@@ -195,29 +191,22 @@ def _parse_edgelist(text: str) -> Cfg:
     Nodes are implicitly declared at first mention, in order of appearance.
     '#' starts a comment.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
+    labels: dict[str, None] = {}  # insertion-ordered set of declared nodes
     out_deg: dict[str, int] = {}
     pairs: list[tuple[str, str]] = []
-
-    def declare(tok: str) -> None:
-        if tok not in seen:
-            seen.add(tok)
-            labels.append(tok)
-
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if len(tokens) == 1:
-            if tokens[0] in seen:
+            if tokens[0] in labels:
                 raise ParseError(f"line {ln}: duplicate node label {tokens[0]!r}")
-            declare(tokens[0])
+            labels[tokens[0]] = None
         elif len(tokens) == 2:
             src, dst = tokens
-            declare(src)
-            declare(dst)
+            labels.setdefault(src)
+            labels.setdefault(dst)
             deg = out_deg.get(src, 0)
             if deg == 2:
                 raise ParseError(f"line {ln}: out-degree exceeds 2 for node {src!r}")

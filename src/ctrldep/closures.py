@@ -115,14 +115,12 @@ def dependence_closure(
     return frozenset(closure)
 
 
-def strong_closure(g: Cfg, spec: ClosureSpec, allow_unreachable: bool = False) -> frozenset[str]:
+def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
     """Minimal strongly control-closed superset of ``spec.w``.
 
     Requires ``spec.start`` to belong to ``spec.w`` and every node to be
     reachable from it; those are the hypotheses under which closure under
-    NTSCD and DOD coincides with strong control-closedness.  With
-    ``allow_unreachable`` the reachability requirement is waived and the
-    result is best-effort (minimality is no longer guaranteed).
+    NTSCD and DOD coincides with strong control-closedness.
     """
     if spec.start not in g.index:
         raise ValueError(f"unknown node {spec.start!r}")
@@ -131,11 +129,10 @@ def strong_closure(g: Cfg, spec: ClosureSpec, allow_unreachable: bool = False) -
             raise ValueError(f"unknown node {lab!r}")
     if spec.start not in spec.w:
         raise ClosureSpecError(f"start node {spec.start!r} must belong to the criterion set")
-    if not allow_unreachable:
-        missing = set(g.labels) - reachable_set(g, spec.start)
-        if missing:
-            raise ClosureSpecError(
-                f"{len(missing)} node(s) unreachable from {spec.start!r}, e.g. {min(missing)!r}"
-            )
+    missing = set(g.labels) - reachable_set(g, spec.start)
+    if missing:
+        raise ClosureSpecError(
+            f"{len(missing)} node(s) unreachable from {spec.start!r}, e.g. {min(missing)!r}"
+        )
     dod, ntscd = dod_and_ntscd(g)
     return dependence_closure(g, spec.w, ntscd, dod)

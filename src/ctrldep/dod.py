@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .cfg import Cfg, first_hits, predicate_indices, reach
+from .cfg import Cfg, bit_indices, first_hits, predicate_indices, reach
 from .coloring import VpMap, vp_sets
 from .ntscd import NtscdRelation, ntscd_from_vp
 
@@ -191,10 +191,12 @@ def _dod_for_predicate(g: Cfg, p: str, vp_of_p: frozenset[str]) -> set[tuple[str
     # three members means the answer is empty with no graph walk at all.
     if len(vp_of_p) < 3:
         return set()
-    ap = build_ap(g, p, vp_of_p)
-    if len(ap.succ[p]) <= 1:
-        return set()
+    # The predicate's projection successors are exactly v1 | v2, so one
+    # that does not branch in the projection is dropped before it is built.
     classes = compute_v1_v2(g, p, vp_of_p)
+    if len(classes.v1 | classes.v2) <= 1:
+        return set()
+    ap = build_ap(g, p, vp_of_p)
     _assert_projection_shape(ap, classes)
     if classes.v1 & classes.v2:
         return set()
@@ -278,8 +280,8 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
     out: set[tuple[str, str, str]] = set()
     for p in predicate_indices(g):
         s1, s2 = g.succs[p]
-        in1 = vsets[s1]
-        in2 = vsets[s2]
+        # a first from one branch and b first from the other, in both orientations
+        orientations = ((s1, s2), (s2, s1))
         not_p = all_bits & ~(1 << p)
         p_lab = labels[p]
         for a in range(n):
@@ -288,22 +290,11 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
             mm = mutual[a] & not_p
             if not mm:
                 continue
-            if a in in1:
-                cand = mm & first_mask(s1, a)
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    b = low.bit_length() - 1
-                    if b in in2 and (first_mask(s2, b) >> a) & 1:
-                        x, y = labels[a], labels[b]
-                        out.add((p_lab, x, y) if x < y else (p_lab, y, x))
-            if a in in2:
-                cand = mm & first_mask(s2, a)
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    b = low.bit_length() - 1
-                    if b in in1 and (first_mask(s1, b) >> a) & 1:
+            for sa, sb in orientations:
+                if a not in vsets[sa]:
+                    continue
+                for b in bit_indices(mm & first_mask(sa, a)):
+                    if b in vsets[sb] and (first_mask(sb, b) >> a) & 1:
                         x, y = labels[a], labels[b]
                         out.add((p_lab, x, y) if x < y else (p_lab, y, x))
     return frozenset(out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .cfg import Cfg, predicate_indices
+from .cfg import Cfg, bit_indices, predicate_indices
 from .coloring import Coloring, VpMap
 
 NtscdRelation = frozenset[tuple[str, str]]
@@ -72,80 +72,72 @@ def ntscd_from_vp(g: Cfg, vp: VpMap) -> NtscdRelation:
     return frozenset(out)
 
 
-def _ranganath_setup(g: Cfg):
-    preds_list = predicate_indices(g)
-    ppos = {p: j for j, p in enumerate(preds_list)}
-    uniq = [tuple(dict.fromkeys(ss)) for ss in g.succs]
-    return preds_list, ppos, uniq
+# The symbol table is two bit rows per node: bit j of ``T[slot][n]`` says
+# that node n's cell for the j-th predicate (in node order) holds that
+# predicate's branch symbol for its successor ``slot``.
+BitTable = tuple[list[int], list[int]]
 
 
-def _apply_body(
-    nd: int,
-    S: list[list[int]],
-    n_nodes: int,
-    n_preds: int,
-    ppos: dict[int, int],
-    uniq: list[tuple[int, ...]],
-) -> list[int]:
+def _ranganath_setup(g: Cfg) -> tuple[BitTable, list[int], list[int]]:
+    """Seed each predicate's branch symbols into its successors' cells.
+
+    Returns the table, each node's predicate bit (0 for non-predicates) and
+    the seeded nodes in seeding order.
+    """
+    n = len(g.labels)
+    T: BitTable = ([0] * n, [0] * n)
+    bit = [0] * n
+    seeded: list[int] = []
+    for j, p in enumerate(predicate_indices(g)):
+        bit[p] = 1 << j
+        for slot, r in enumerate(g.succs[p]):
+            T[slot][r] |= 1 << j
+            seeded.append(r)
+    return T, bit, seeded
+
+
+def _apply_body(nd: int, T: BitTable, bit: list[int], succs: tuple[tuple[int, ...], ...]) -> list[int]:
     """One execution of the worklist loop body for node ``nd``.
 
     Returns the nodes whose symbol sets grew (the candidates to repush).
     """
-    changed: list[int] = []
-    u = uniq[nd]
-    if len(u) == 1 and u[0] != nd:
-        s = u[0]
-        row_n = S[nd]
-        row_s = S[s]
-        grew = False
-        for j in range(n_preds):
-            add = row_n[j] & ~row_s[j]
-            if add:
-                row_s[j] |= add
-                grew = True
-        if grew:
-            changed.append(s)
-    elif len(u) > 1:
-        j_nd = ppos[nd]
-        row_n = S[nd]
-        for m in range(n_nodes):
-            if S[m][j_nd] == 0b11:
-                row_m = S[m]
-                grew = False
-                for j in range(n_preds):
-                    if j == j_nd:
-                        continue
-                    add = row_n[j] & ~row_m[j]
-                    if add:
-                        row_m[j] |= add
-                        grew = True
-                if grew:
-                    changed.append(m)
+    T0, T1 = T
+    b = bit[nd]
+    if b:
+        # A predicate passes its cells to every node whose cell for it holds
+        # both of its branch symbols.  The published loop skips the
+        # predicate's own cell; that cell is already full in every such
+        # node, so passing it too changes nothing.
+        targets = [m for m in range(len(T0)) if T0[m] & T1[m] & b]
+    elif succs[nd] and succs[nd][0] != nd:
+        # A non-predicate has one distinct successor, which inherits its cells.
+        targets = [succs[nd][0]]
+    else:
+        return []
+    r0 = T0[nd]
+    r1 = T1[nd]
+    changed = []
+    for m in targets:
+        if r0 & ~T0[m] or r1 & ~T1[m]:
+            T0[m] |= r0
+            T1[m] |= r1
+            changed.append(m)
     return changed
 
 
-def _run_ranganath(g: Cfg, policy: WorklistPolicy) -> list[list[int]]:
+def _run_ranganath(g: Cfg, policy: WorklistPolicy) -> BitTable:
     """Worklist run of the forward symbol-propagation algorithm.
 
     The workbag deduplicates on push; ``policy`` selects which queued node
     is popped: "fifo" (oldest first), "lifo" (newest first), or an explicit
     node-label sequence that must cover everything ever pushed.
     """
-    n = len(g.labels)
-    preds_list, ppos, uniq = _ranganath_setup(g)
-    n_preds = len(preds_list)
-    S: list[list[int]] = [[0] * n_preds for _ in range(n)]
-
-    in_bag = bytearray(n)
-    if policy == "fifo":
+    T, bit, seeded = _ranganath_setup(g)
+    in_bag = bytearray(len(g.labels))
+    if policy in ("fifo", "lifo"):
         bag: deque[int] = deque()
         push = bag.append
-        pop = bag.popleft
-    elif policy == "lifo":
-        lbag: list[int] = []
-        push = lbag.append
-        pop = lbag.pop
-        bag = lbag  # type: ignore[assignment]
+        pop = bag.popleft if policy == "fifo" else bag.pop
     elif isinstance(policy, str):
         raise ValueError(f"unknown worklist policy {policy!r}")
     else:
@@ -169,65 +161,47 @@ def _run_ranganath(g: Cfg, policy: WorklistPolicy) -> list[list[int]]:
             in_bag[x] = 1
             push(x)
 
-    for p in preds_list:
-        for slot, r in enumerate(g.succs[p]):
-            S[r][ppos[p]] |= 1 << slot
-            push_dedup(r)
+    for r in seeded:
+        push_dedup(r)
     while bag:
         nd = pop()
         in_bag[nd] = 0
-        for x in _apply_body(nd, S, n, n_preds, ppos, uniq):
+        for x in _apply_body(nd, T, bit, g.succs):
             push_dedup(x)
-    return S
+    return T
 
 
-def _run_ranganath_fixed(g: Cfg) -> list[list[int]]:
+def _run_ranganath_fixed(g: Cfg) -> BitTable:
     """Workbag-free variant: sweep the loop body over all nodes until the
     symbol table stops changing.  The fixpoint does not depend on the sweep
     order."""
-    n = len(g.labels)
-    preds_list, ppos, uniq = _ranganath_setup(g)
-    n_preds = len(preds_list)
-    S: list[list[int]] = [[0] * n_preds for _ in range(n)]
-    for p in preds_list:
-        for slot, r in enumerate(g.succs[p]):
-            S[r][ppos[p]] |= 1 << slot
+    T, bit, _ = _ranganath_setup(g)
     while True:
-        grew = False
-        for nd in range(n):
-            if _apply_body(nd, S, n, n_preds, ppos, uniq):
-                grew = True
+        grew = [nd for nd in range(len(g.labels)) if _apply_body(nd, T, bit, g.succs)]
         if not grew:
-            return S
+            return T
 
 
-def _relation_from_table(g: Cfg, S: list[list[int]]) -> NtscdRelation:
+def _relation_from_table(g: Cfg, T: BitTable) -> NtscdRelation:
     # Emit (p, n) when the cell holds exactly one of the two branch symbols.
     labels = g.labels
     preds_list = predicate_indices(g)
-    out = set()
-    for nd in range(len(labels)):
-        row = S[nd]
-        for j, p in enumerate(preds_list):
-            if row[j] in (0b01, 0b10):
-                out.add((labels[p], labels[nd]))
-    return frozenset(out)
+    T0, T1 = T
+    return frozenset(
+        (labels[preds_list[j]], labels[nd]) for nd in range(len(labels)) for j in bit_indices(T0[nd] ^ T1[nd])
+    )
 
 
-def _symbol_table(g: Cfg, S: list[list[int]]) -> SymbolTable:
+def _symbol_table(g: Cfg, T: BitTable) -> SymbolTable:
     labels = g.labels
     preds_list = predicate_indices(g)
     table: SymbolTable = {}
     for nd in range(len(labels)):
-        for j, p in enumerate(preds_list):
-            mask = S[nd][j]
-            if mask:
-                syms = frozenset(
-                    (labels[p], labels[g.succs[p][slot]])
-                    for slot in (0, 1)
-                    if mask & (1 << slot)
-                )
-                table[(labels[nd], labels[p])] = syms
+        for j in bit_indices(T[0][nd] | T[1][nd]):
+            p = preds_list[j]
+            table[(labels[nd], labels[p])] = frozenset(
+                (labels[p], labels[g.succs[p][slot]]) for slot in (0, 1) if T[slot][nd] >> j & 1
+            )
     return table
 
 
@@ -245,8 +219,8 @@ def ntscd_ranganath_with_table(
     g: Cfg, policy: WorklistPolicy = "fifo"
 ) -> tuple[NtscdRelation, SymbolTable]:
     """Like ``ntscd_ranganath`` but also returns the final symbol table."""
-    S = _run_ranganath(g, policy)
-    return _relation_from_table(g, S), _symbol_table(g, S)
+    T = _run_ranganath(g, policy)
+    return _relation_from_table(g, T), _symbol_table(g, T)
 
 
 def ntscd_ranganath_fixed(g: Cfg) -> NtscdRelation:
@@ -256,5 +230,5 @@ def ntscd_ranganath_fixed(g: Cfg) -> NtscdRelation:
 
 
 def ntscd_ranganath_fixed_with_table(g: Cfg) -> tuple[NtscdRelation, SymbolTable]:
-    S = _run_ranganath_fixed(g)
-    return _relation_from_table(g, S), _symbol_table(g, S)
+    T = _run_ranganath_fixed(g)
+    return _relation_from_table(g, T), _symbol_table(g, T)

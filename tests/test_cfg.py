@@ -48,7 +48,7 @@ def test_parse_rejects_duplicate_label():
 
 
 def test_parse_rejects_undeclared_endpoint():
-    with pytest.raises(ParseError, match="not a declared node"):
+    with pytest.raises(ParseError, match="^edge #0: endpoint 'b' is not a declared node$"):
         parse_cfg('{"nodes":["a"],"edges":[["a","b"]]}')
 
 
@@ -99,9 +99,11 @@ def test_reachable_set(fig3, fig4):
 def test_cfg_rejects_bad_construction():
     with pytest.raises(ValueError, match="duplicate node label"):
         Cfg(["a", "a"], [])
-    with pytest.raises(ValueError, match="not a declared node"):
-        Cfg(["a"], [("a", "zz")])
-    with pytest.raises(ValueError, match="out-degree exceeds 2"):
+    with pytest.raises(ValueError, match="^edge #1: endpoint 'zz' is not a declared node$"):
+        Cfg(["a"], [("a", "a"), ("a", "zz")])
+    with pytest.raises(ValueError, match="^edge #0: endpoint 'zz' is not a declared node$"):
+        Cfg(["a"], [("zz", "a")])
+    with pytest.raises(ValueError, match="^edge #2: out-degree exceeds 2 for node 'a'$"):
         Cfg(["a"], [("a", "a"), ("a", "a"), ("a", "a")])
 
 

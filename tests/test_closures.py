@@ -129,10 +129,9 @@ def test_strong_closure_validates_spec(fig3, fig4):
     # fig4 has no node reaching everything back: "a" is unreachable from b/c
     with pytest.raises(ClosureSpecError, match="unreachable"):
         strong_closure(fig4, ClosureSpec(w=frozenset({"b"}), start="b"))
-    # best-effort override still computes the dependence closure
-    assert strong_closure(
-        fig4, ClosureSpec(w=frozenset({"b", "c"}), start="b"), allow_unreachable=True
-    ) == {"a", "b", "c"}
+    # without the reachability requirement, the dependence closure pulls in "a"
+    dod, ntscd = dod_and_ntscd(fig4)
+    assert dependence_closure(fig4, {"b", "c"}, ntscd, dod) == {"a", "b", "c"}
 
 
 def test_oracle_min_closure_matches_fig4_with_start(fig4_with_start):

@@ -17,6 +17,7 @@ from ctrldep import (
     ntscd_ranganath_with_table,
     oracle_exists_maximal_avoiding,
     oracle_ntscd,
+    random_cfg,
     vp_sets,
 )
 
@@ -64,6 +65,23 @@ def test_ranganath_explicit_order_gets_it_right(fig3):
     assert rel == FIG3_NTSCD
     assert table[("5", "1")] == {("1", "2")}
     assert table[("6", "1")] == {("1", "2"), ("1", "6")}
+
+
+def test_ranganath_lifo_gets_fig3_right(fig3):
+    rel = ntscd_ranganath(fig3, "lifo")
+    assert rel == FIG3_NTSCD
+    assert ("1", "5") in rel
+
+
+def test_ranganath_lifo_adds_a_wrong_pair():
+    # lifo pops n0 first, before n2 hands n1 the second branch symbol of n0,
+    # and never pops n0 again; so n0 never passes the symbol of n1 -> n0 on
+    # to n1's own cell, and n1 wrongly controls itself.
+    g = random_cfg(3, 5, 12)
+    assert g.edges() == [("n0", "n1"), ("n0", "n2"), ("n1", "n0"), ("n1", "n1"), ("n2", "n1")]
+    fifo = ntscd_ranganath(g, "fifo")
+    assert fifo == ntscd_new(g) == {("n0", "n2"), ("n1", "n0")}
+    assert ntscd_ranganath(g, "lifo") == fifo | {("n1", "n1")}
 
 
 def test_ranganath_edgeless():
