@@ -23,7 +23,7 @@ from .closures import (
     strong_closure,
     theta,
 )
-from .coloring import VpMap, color_all_paths_contain, first_before_on_all, vp_sets
+from .coloring import VpMap, vp_sets
 from .dod import (
     DodRelation,
     ProjectionGraph,
@@ -70,9 +70,7 @@ __all__ = [
     "random_reducible_cfg",
     "worst_case_dod_cfg",
     "VpMap",
-    "color_all_paths_contain",
     "vp_sets",
-    "first_before_on_all",
     "NtscdRelation",
     "ntscd_new",
     "ntscd_from_vp",

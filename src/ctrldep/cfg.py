@@ -74,9 +74,6 @@ class Cfg:
     def successors(self, label: str) -> tuple[str, ...]:
         return tuple(self.labels[t] for t in self.succs[self.index[label]])
 
-    def predecessors(self, label: str) -> tuple[str, ...]:
-        return tuple(self.labels[t] for t in self.preds[self.index[label]])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cfg):
             return NotImplemented

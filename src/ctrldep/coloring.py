@@ -5,7 +5,8 @@ result once all of its out-edges lead to members (and it has at least one
 out-edge).  Each node keeps a countdown of not-yet-member successors, so
 every edge is inspected at most once per run.  Scratch state is
 generation-stamped rather than cleared, which keeps repeated runs over the
-same graph cheap; several analyses run one propagation per node.
+same graph cheap; ``ntscd_new`` runs one propagation per node.
+``vp_sets`` instead finds the all-paths sets as one parent pointer per node.
 
 Propagation uses an explicit stack, never recursion, so deep graphs are
 safe.
@@ -13,9 +14,11 @@ safe.
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
-from .cfg import Cfg, reach
+from .cfg import Cfg, predicate_indices
 
 
 class Coloring:
@@ -93,76 +96,70 @@ class Coloring:
         return sum(len(preds[s]) for s in self.last_red)
 
 
-def color_all_paths_contain(g: Cfg, targets: Iterable[str]) -> frozenset[str]:
-    """Nodes from which every maximal path contains some target node.
-
-    The target nodes themselves are always included.  Raises ValueError on
-    an empty target set or an unknown label.
-    """
-    target_list = list(targets)
-    if not target_list:
-        raise ValueError("empty target set")
-    try:
-        idx = [g.index[t] for t in target_list]
-    except KeyError as exc:
-        raise ValueError(f"unknown node {exc.args[0]!r}") from None
-    reds = Coloring(g).run(idx)
-    return frozenset(g.labels[i] for i in reds)
-
-
+@dataclass
 class VpMap:
-    """For every node, the set of nodes lying on all maximal paths from it."""
+    """The set vp(v) of nodes on all maximal paths from v, for every node,
+    as one parent pointer per node: vp(v) = {v} | vp(parent[v]), -1 for
+    none.  Cycles of pointers are roots shared by all that reach them."""
 
-    __slots__ = ("labels", "index", "index_sets")
+    g: Cfg
+    parent: list[int]
 
-    def __init__(
-        self,
-        labels: tuple[str, ...],
-        index: dict[str, int],
-        index_sets: list[frozenset[int]],
-    ) -> None:
-        self.labels = labels
-        self.index = index
-        self.index_sets = index_sets
+    def chain(self, v: int) -> Iterator[int]:
+        """vp(v) in pointer order: v, its parent, and so on, up to a root."""
+        parent = self.parent
+        seen = set()
+        while v >= 0 and v not in seen:
+            seen.add(v)
+            yield v
+            v = parent[v]
+
+    @cached_property
+    def index_sets(self) -> list[frozenset[int]]:
+        """Every vp(v) as an index set, built on first access."""
+        return [frozenset(self.chain(v)) for v in range(len(self.parent))]
 
     def __getitem__(self, label: str) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in self.index_sets[self.index[label]])
+        return frozenset(self.g.labels[i] for i in self.chain(self.g.index[label]))
 
 
 def vp_sets(g: Cfg) -> VpMap:
-    """Compute the on-all-maximal-paths set for every node.
-
-    One propagation per node: whenever ``m`` turns red while propagating
-    from ``r``, node ``r`` is on all maximal paths from ``m``, so ``r`` is
-    accumulated into the set of ``m``.
+    """All-paths sets as parent pointers.  A sink or a self-loop has no
+    parent, a node with one distinct successor points to it, and a
+    predicate points to the first node of its second successor's chain that
+    is also on its first successor's chain.  Whole sweeps repeat until no
+    pointer moves; a pointer moves only when that grows vp(v), so the
+    sweeps end.  Re-examining only the direct predecessors of a moved node
+    is not enough: a change deep in a chain moves meets further upstream.
     """
     n = len(g.labels)
-    eng = Coloring(g)
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for r in range(n):
-        for m in eng.run((r,)):
-            sets[m].add(r)
-    return VpMap(g.labels, g.index, [frozenset(s) for s in sets])
-
-
-def first_before_on_all(g: Cfg, start: str, first: str, second: str) -> bool:
-    """Does every maximal path from ``start`` contain ``first``, with no
-    occurrence of ``second`` before the first occurrence of ``first``?
-
-    Decision: ``start`` must lie in the propagation result for ``first``;
-    then ``start == first`` is a yes and ``start == second`` a no; otherwise
-    the answer is yes exactly when ``second`` is unreachable from ``start``
-    once ``first`` is deleted from the graph.
-    """
-    if first == second:
-        raise ValueError("'first' and 'second' must differ")
-    s, a, b = g.index[start], g.index[first], g.index[second]
-    eng = Coloring(g)
-    eng.run((a,))
-    if not eng.is_red(s):
-        return False
-    if s == a:
-        return True
-    if s == b:
-        return False
-    return b not in reach(g.succs, (s,), (a,))
+    vp = VpMap(g, [-1] * n)
+    parent = vp.parent
+    for v, ss in enumerate(g.succs):
+        if ss and ss[0] == ss[-1] != v:  # one distinct successor, not v itself
+            parent[v] = ss[0]
+    # Graphs mostly declare a node before its successors.
+    branching = [(p, *g.succs[p]) for p in reversed(predicate_indices(g))]
+    mark = [0] * n  # stamps: chain(s1) gets gen, the walked part of chain(s2) gen + 1
+    gen = 0
+    moved = True
+    while moved:
+        moved = False
+        for v, s1, s2 in branching:
+            if parent[s1] < 0 and parent[s2] < 0:
+                continue  # two one-node chains never meet
+            gen += 2
+            x = s1
+            while x >= 0 and mark[x] != gen:
+                mark[x] = gen
+                x = parent[x]
+            x = s2
+            while x >= 0 and mark[x] < gen:
+                mark[x] = gen + 1
+                x = parent[x]
+            # Stamp gen + 1 at x: chain(s2) cycled alone.  A meet at v keeps the
+            # next shared node; one on the old parent's chain keeps the set.
+            if x >= 0 and mark[x] == gen and x != v and x not in vp.chain(parent[v]):
+                parent[v] = x
+                moved = True
+    return vp

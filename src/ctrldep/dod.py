@@ -187,10 +187,6 @@ def _assert_projection_shape(ap: ProjectionGraph, classes: SuccessorClasses) -> 
 
 
 def _dod_for_predicate(g: Cfg, p: str, vp_of_p: frozenset[str]) -> set[tuple[str, str, str]]:
-    # Dependent pairs are distinct members other than p, so fewer than
-    # three members means the answer is empty with no graph walk at all.
-    if len(vp_of_p) < 3:
-        return set()
     # The predicate's projection successors are exactly v1 | v2, so one
     # that does not branch in the projection is dropped before it is built.
     classes = compute_v1_v2(g, p, vp_of_p)
@@ -212,18 +208,21 @@ def _dod_for_predicate(g: Cfg, p: str, vp_of_p: frozenset[str]) -> set[tuple[str
 
 
 def dod_new(g: Cfg) -> DodRelation:
-    """Projection-cycle DOD; O(|V|^3) overall and output-optimal."""
-    vp = vp_sets(g)
-    return _dod_from_vp(g, vp)
+    """Projection-cycle DOD, output-optimal: O(|V|^2) per all-paths pointer
+    sweep, then O(|V|^3) for the projections onto each predicate's chain."""
+    return _dod_from_vp(g, vp_sets(g))
 
 
 def _dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
     labels = g.labels
+    parent = vp.parent
     out: set[tuple[str, str, str]] = set()
     for p in predicate_indices(g):
-        p_lab = labels[p]
-        vp_of_p = frozenset(labels[i] for i in vp.index_sets[p])
-        out |= _dod_for_predicate(g, p_lab, vp_of_p)
+        # Dependent pairs are distinct members other than p, so a chain of
+        # fewer than three nodes is skipped before it is read.
+        q = parent[p]
+        if q >= 0 and parent[q] not in (-1, p):
+            out |= _dod_for_predicate(g, labels[p], frozenset(labels[i] for i in vp.chain(p)))
     return frozenset(out)
 
 

@@ -2,7 +2,7 @@
 
 ``ntscd_new`` runs one backward propagation per node and reads the
 dependencies off predicate successors.  ``ntscd_from_vp`` derives the same
-relation from precomputed per-node path sets.  ``ntscd_ranganath`` is a
+relation from the all-paths sets of ``vp_sets``.  ``ntscd_ranganath`` is a
 faithful transcription of the classic forward worklist algorithm, which is
 sensitive to the order nodes are popped and can produce wrong results;
 ``ntscd_ranganath_fixed`` repairs it by iterating the loop body over all
@@ -61,13 +61,13 @@ def ntscd_new(g: Cfg) -> NtscdRelation:
 
 
 def ntscd_from_vp(g: Cfg, vp: VpMap) -> NtscdRelation:
-    """NTSCD from per-node path sets: a predicate controls every node on
-    which its two successors' sets disagree."""
+    """NTSCD from the all-paths pointers: a predicate controls every node
+    on which its two successors' chains disagree."""
     labels = g.labels
     out = set()
     for p in predicate_indices(g):
         s1, s2 = g.succs[p]
-        for i in vp.index_sets[s1] ^ vp.index_sets[s2]:
+        for i in set(vp.chain(s1)).symmetric_difference(vp.chain(s2)):
             out.add((labels[p], labels[i]))
     return frozenset(out)
 

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .cfg import Cfg, predicate_indices
 
-ORACLE_MAX_NODES = 15
+ORACLE_MAX_NODES = 64
 MIN_CLOSURE_MAX_NODES = 10
 
 

@@ -25,11 +25,14 @@ from ctrldep import (
     ntscd_ranganath,
     ntscd_ranganath_fixed,
     parse_cfg,
+    random_cfg,
+    random_reducible_cfg,
     serialize_cfg,
     strong_closure,
     vp_sets,
     worst_case_dod_cfg,
 )
+from ctrldep.generate import MAX_REDUCIBLE_DEPTH
 
 from conftest import small_cfgs
 
@@ -217,7 +220,7 @@ def test_check_input_file(fig3_file, tmp_path):
 
 
 def test_check_budget_exit_2(tmp_path):
-    proc = run_cli("check", "--count", "1", "--max-nodes", "30", cwd=tmp_path)
+    proc = run_cli("check", "--count", "1", "--max-nodes", "65", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "exceeds the oracle budget" in proc.stderr  # not an argparse usage error
 
@@ -322,6 +325,22 @@ def test_gate_ignores_a_wrong_ntscd_rang(fig7, monkeypatch):
     assert cli.differential_failures(fig7) == []
 
 
+def structural_graphs():
+    """Graphs of 30-64 nodes, where meets lie deep in chains and cycles are
+    entered at several points; all within the oracle budget."""
+    yield worst_case_dod_cfg(32)
+    yield worst_case_dod_cfg(64)
+    reducible = (random_reducible_cfg(depth, seed) for depth in (5, 6, 7) for seed in range(10))
+    yield from (g for g in reducible if 30 <= len(g) <= 64)
+    for n in range(30, 65, 2):
+        yield random_cfg(n, (3 * n) // 2, n)
+
+
+def test_gated_rows_agree_with_the_oracle_at_structural_sizes():
+    for g in structural_graphs():
+        assert cli.differential_failures(g) == [], serialize_cfg(g)
+
+
 def _unordered(kind: str, relation, rename=lambda x: x) -> set:
     # A DOD triple lists its pair in label order, which a relabelling can flip.
     if kind == "ntscd":
@@ -421,4 +440,18 @@ def test_bench_empty_sweep_exit_2(flag, tmp_path):
     proc = run_cli("bench", "--shape", "random", *argv, "--algos", "ntscd-new", "--csv", str(out))
     assert proc.returncode == 2, proc.stderr
     assert f"argument {flag}: range '10..5' sweeps no values" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_reducible_depth_above_the_cap_exit_2(command, tmp_path):
+    # Each level roughly doubles the graph, so a depth above the cap is
+    # refused before any graph is built or any file written.
+    out = tmp_path / "out"
+    depth = str(MAX_REDUCIBLE_DEPTH + 1)
+    argv = ["--shape", "reducible", "--depth", depth]
+    argv += ["--output", str(out)] if command == "gen" else ["--algos", "dod-new", "--csv", str(out)]
+    proc = run_cli(command, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert f"--depth {depth}: depth must be at most {MAX_REDUCIBLE_DEPTH}" in proc.stderr
     assert not out.exists()

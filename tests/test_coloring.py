@@ -1,4 +1,4 @@
-"""The backward propagation kernel and its derived predicates.
+"""The backward propagation kernel and the all-paths pointers.
 
 Expected values for the worked examples are recomputed here through the
 brute-force oracle, so the two implementations vouch for each other.
@@ -12,15 +12,20 @@ from hypothesis import strategies as st
 
 from ctrldep import (
     Cfg,
-    color_all_paths_contain,
-    first_before_on_all,
     oracle_exists_maximal_avoiding,
-    oracle_first_before,
+    random_cfg,
+    random_reducible_cfg,
     vp_sets,
+    worst_case_dod_cfg,
 )
 from ctrldep.coloring import Coloring
 
 from conftest import small_cfgs
+
+
+def color(g: Cfg, targets) -> frozenset[str]:
+    """Labels of the nodes from which every maximal path hits ``targets``."""
+    return frozenset(g.labels[i] for i in Coloring(g).run(g.index[t] for t in targets))
 
 
 def oracle_color(g: Cfg, target: str) -> frozenset[str]:
@@ -32,36 +37,31 @@ def oracle_color(g: Cfg, target: str) -> frozenset[str]:
 def test_color_fig3_target_5(fig3):
     expected = oracle_color(fig3, "5")
     assert expected == {"2", "3", "4", "5"}
-    assert color_all_paths_contain(fig3, ["5"]) == expected
+    assert color(fig3, ["5"]) == expected
 
 
 def test_color_isolated_target():
     g = Cfg(["n", "m"], [])
-    assert color_all_paths_contain(g, ["n"]) == {"n"}
+    assert color(g, ["n"]) == {"n"}
 
 
 def test_color_fig1_target_e(fig1):
     # b, c, d can all diverge into the self-loop on d and never reach e.
     expected = oracle_color(fig1, "e")
     assert expected == {"e"}
-    assert color_all_paths_contain(fig1, ["e"]) == expected
-
-
-def test_color_rejects_empty_targets(fig3):
-    with pytest.raises(ValueError, match="empty target set"):
-        color_all_paths_contain(fig3, [])
+    assert color(fig1, ["e"]) == expected
 
 
 def test_color_multi_target_seed_set(fig3):
     # From 1 every maximal path reaches 6; seeding {5, 6} must cover everything.
-    assert color_all_paths_contain(fig3, ["5", "6"]) == set(fig3.labels)
+    assert color(fig3, ["5", "6"]) == set(fig3.labels)
 
 
 @settings(max_examples=120, deadline=None)
 @given(small_cfgs(max_nodes=8))
 def test_color_matches_oracle(g):
     for target in g.labels:
-        got = color_all_paths_contain(g, [target])
+        got = color(g, [target])
         for m in g.labels:
             assert (m in got) == (not oracle_exists_maximal_avoiding(g, m, target))
 
@@ -72,7 +72,7 @@ def test_seed_monotonicity(g, data):
     labels = list(g.labels)
     t2 = data.draw(st.sets(st.sampled_from(labels), min_size=1))
     t1 = data.draw(st.sets(st.sampled_from(sorted(t2)), min_size=1))
-    assert color_all_paths_contain(g, t1) <= color_all_paths_contain(g, t2)
+    assert color(g, t1) <= color(g, t2)
 
 
 def test_vp_sets_fig3(fig3):
@@ -98,6 +98,15 @@ def test_vp_sets_fig4(fig4):
     assert vp["c"] == {"b", "c"}
 
 
+def test_vp_sets_branches_that_rejoin_at_the_predicate():
+    # Both branches lead straight back to v, so their chains meet at v
+    # itself, and v stays a root with no parent.
+    g = Cfg(["v", "a", "b"], [("v", "a"), ("v", "b"), ("a", "v"), ("b", "v")])
+    vp = vp_sets(g)
+    assert vp.parent == [-1, 0, 0]
+    assert vp["v"] == {"v"} and vp["a"] == {"a", "v"}
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_cfgs(max_nodes=8))
 def test_vp_sets_match_oracle(g):
@@ -110,32 +119,45 @@ def test_vp_sets_match_oracle(g):
         assert vp[n] == expected
 
 
-def test_first_before_fig5(fig5):
-    assert first_before_on_all(fig5, "a", "a", "b") is True
-    assert first_before_on_all(fig5, "b", "b", "a") is True
-    assert oracle_first_before(fig5, "a", "a", "b") is True
+def diamond_ladder(rungs: int, closed: bool) -> Cfg:
+    """p_i branches to a_i and b_i, which join at j_i, which leads to
+    p_{i+1}; the last join ends the graph or, if ``closed``, returns to p_0."""
+    labels, edges = [], []
+    for i in range(rungs):
+        p, a, b, j = (f"{x}{i}" for x in "pabj")
+        labels += [p, a, b, j]
+        edges += [(p, a), (p, b), (a, j), (b, j)]
+        if i + 1 < rungs or closed:
+            edges.append((j, f"p{(i + 1) % rungs}"))
+    return Cfg(labels, edges)
 
 
-def test_first_before_fig3(fig3):
-    # the branch through 4 misses 3 entirely
-    assert first_before_on_all(fig3, "2", "3", "5") is False
+# Sizes where long chains, deep meets and cycles entered at several points
+# occur, which small random graphs rarely have.
+LARGE_GRAPHS = {
+    "ladder-1200": lambda: diamond_ladder(300, closed=False),
+    "closed-ladder-1200": lambda: diamond_ladder(300, closed=True),
+    "random-200": lambda: random_cfg(200, 300, 1),
+    "random-1000-chains": lambda: random_cfg(1000, 1000, 7),
+    "random-3000": lambda: random_cfg(3000, 3000, 2),
+    "dod-worst-256": lambda: worst_case_dod_cfg(256),
+    "reducible-532": lambda: random_reducible_cfg(9, 4),
+    "reducible-2340": lambda: random_reducible_cfg(12, 8),
+}
 
 
-def test_first_before_rejects_equal_nodes(fig3):
-    with pytest.raises(ValueError):
-        first_before_on_all(fig3, "1", "5", "5")
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_cfgs(max_nodes=6))
-def test_first_before_matches_oracle(g):
-    labels = g.labels
-    for s in labels:
-        for a in labels:
-            for b in labels:
-                if a == b:
-                    continue
-                assert first_before_on_all(g, s, a, b) == oracle_first_before(g, s, a, b)
+@pytest.mark.parametrize("shape", sorted(LARGE_GRAPHS))
+def test_vp_sets_match_one_propagation_per_node(shape):
+    # n is on all maximal paths from v exactly when v turns red seeded at n.
+    g = LARGE_GRAPHS[shape]()
+    eng = Coloring(g)
+    expected: list[set[int]] = [set() for _ in g.labels]
+    for n in range(len(g)):
+        for v in eng.run((n,)):
+            expected[v].add(n)
+    vp = vp_sets(g)
+    assert vp.index_sets == [frozenset(s) for s in expected]
+    assert all(p != v for v, p in enumerate(vp.parent))  # -1, never itself, for no parent
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,6 +12,7 @@ from ctrldep import (
     random_reducible_cfg,
     worst_case_dod_cfg,
 )
+from ctrldep.generate import MAX_REDUCIBLE_DEPTH
 
 from conftest import reduces_to_single_node
 
@@ -41,6 +42,11 @@ def test_random_cfg_infeasible():
 def test_reducible_depth_zero():
     g = random_reducible_cfg(0, 1)
     assert len(g) == 1 and g.n_edges == 0
+
+
+def test_reducible_depth_is_capped():
+    with pytest.raises(ValueError, match=f"depth must be at most {MAX_REDUCIBLE_DEPTH}"):
+        random_reducible_cfg(MAX_REDUCIBLE_DEPTH + 1, 0)
 
 
 def test_reducible_deterministic():

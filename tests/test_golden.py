@@ -1,9 +1,11 @@
-"""Golden digests of the variants the differential check does not gate.
+"""Golden digests of outputs the differential check cannot pin.
 
 The oracle gates ``ntscd-rang`` not at all and ``dod-formula`` only as a
 superset, and it never sees a symbol table, so a rewrite of the worklist or
-the pairwise formula could change these outputs unnoticed.  Each digest is
-the sha256 of the sorted outputs over a fixed family of random graphs.
+the pairwise formula could change these outputs unnoticed.  The all-paths
+layer and what is read off it are gated only on small random graphs, so
+they are pinned over larger structured ones as well.  Each digest is the
+sha256 of the sorted outputs over a fixed family of graphs.
 """
 
 from __future__ import annotations
@@ -11,11 +13,19 @@ from __future__ import annotations
 import hashlib
 
 from ctrldep import (
+    ClosureSpec,
+    ClosureSpecError,
     dod_formula,
+    dod_new,
+    ntscd_from_vp,
     ntscd_ranganath,
     ntscd_ranganath_fixed_with_table,
     ntscd_ranganath_with_table,
     random_cfg,
+    random_reducible_cfg,
+    strong_closure,
+    vp_sets,
+    worst_case_dod_cfg,
 )
 
 
@@ -23,6 +33,17 @@ def corpus():
     for n in range(2, 13):
         for seed in range(200):
             yield random_cfg(n, (3 * n) // 2, seed)
+
+
+def structured_corpus():
+    for n in range(2, 41):
+        for seed in range(10):
+            yield random_cfg(n, (3 * n) // 2, seed)
+    for n in range(8, 65, 8):
+        yield worst_case_dod_cfg(n)
+    for depth in range(10):
+        for seed in range(10):
+            yield random_reducible_cfg(depth, seed)
 
 
 def digest(outputs) -> str:
@@ -55,3 +76,17 @@ def test_worklist_symbol_tables():
 
 def test_original_formula_relation():
     assert digest(sorted(dod_formula(g, "original")) for g in corpus()) == "62b2910b5a58f689a23f8b00eb4aa2299bbc42eedb4556351a248ac8212d5c08"
+
+
+def test_all_paths_sets_and_what_is_read_off_them():
+    def closure_from_first(g):
+        try:
+            return sorted(strong_closure(g, ClosureSpec(w=frozenset({g.labels[0]}), start=g.labels[0])))
+        except ClosureSpecError as exc:
+            return str(exc)
+
+    graphs = list(structured_corpus())
+    assert digest(sorted(dod_new(g)) for g in graphs) == "ee7786bce53d494dc1b3abf09e9ee623bfaec7147b2787a7a70251182965b02d"
+    assert digest(sorted(ntscd_from_vp(g, vp_sets(g))) for g in graphs) == "c55460a4ed7cc400d12cacc58b4f00ebd8dd9b7ed50d9bb47eb1f4a18c43d732"
+    assert digest([sorted(s) for s in vp_sets(g).index_sets] for g in graphs) == "0bbe59148d2403401634fc4e2e0a757abdc89a2a85713cee8cecd82ce1805727"
+    assert digest(closure_from_first(g) for g in graphs) == "1544ed724e7f28773ca6ad3a603c1b85cc05cee36a47fd8b2d09d7b696c89052"

@@ -92,7 +92,7 @@ def test_oracle_min_closure_fig4_with_start(fig4_with_start):
 
 
 def test_budgets():
-    big = random_cfg(16, 10, 0)
+    big = random_cfg(65, 10, 0)
     with pytest.raises(BudgetError):
         oracle_ntscd(big)
     with pytest.raises(BudgetError):
