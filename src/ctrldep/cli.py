@@ -144,23 +144,28 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 1
 
 
+def _sized(flag: str, size: int, build, *args) -> Cfg:
+    """``build(*args)``, with a size it rejects reported under ``flag``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {size}: {exc}") from None
+
+
 def make_graph(shape: str, nodes: int | None, edges: int | None, depth: int | None, seed: int) -> Cfg:
     """One graph of a ``gen``/``bench`` shape; sizes the shape does not read are ignored."""
     if shape == "random":
         if nodes is None or edges is None:
             raise ValueError("--shape random requires --nodes and --edges")
-        return random_cfg(nodes, edges, seed)
+        return _sized("--nodes", nodes, random_cfg, nodes, edges, seed)
     if shape == "reducible":
         if depth is None:
             raise ValueError("--shape reducible requires --depth")
-        try:
-            return random_reducible_cfg(depth, seed)
-        except ValueError as exc:
-            raise ValueError(f"--depth {depth}: {exc}") from None
+        return _sized("--depth", depth, random_reducible_cfg, depth, seed)
     if shape == "dod-worst":
         if nodes is None:
             raise ValueError("--shape dod-worst requires --nodes")
-        return worst_case_dod_cfg(nodes)
+        return _sized("--nodes", nodes, worst_case_dod_cfg, nodes)
     raise ValueError(f"unknown shape {shape!r}")
 
 

@@ -14,6 +14,7 @@ safe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -113,6 +114,29 @@ class VpMap:
             seen.add(v)
             yield v
             v = parent[v]
+
+    def fed_cycle(self, p: int) -> tuple[int, ...]:
+        """The root cycle C with vp(p) = {p} | C, in pointer order from
+        ``parent[p]``; empty when ``parent[p]`` is on no root cycle or ``p``
+        is on it.  O(1) when ``parent[p]`` or its parent is -1 or ``p``."""
+        q = self.parent[p]
+        if q < 0 or self.parent[q] in (-1, p) or q not in self._on_root_cycle or p in self._on_root_cycle:
+            return ()
+        return tuple(self.chain(q))
+
+    @cached_property
+    def _on_root_cycle(self) -> set[int]:
+        """Nodes on a root cycle: what is left after peeling off, leaves
+        first, every node no pointer enters.  O(|V|)."""
+        parent = self.parent
+        entering = Counter(parent)  # key -1 counts the roots, harmlessly
+        leaves = [v for v in range(len(parent)) if not entering[v]]
+        while leaves:
+            q = parent[leaves.pop()]
+            entering[q] -= 1
+            if q >= 0 and not entering[q]:
+                leaves.append(q)
+        return {v for v in range(len(parent)) if entering[v]}
 
     @cached_property
     def index_sets(self) -> list[frozenset[int]]:

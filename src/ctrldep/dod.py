@@ -1,10 +1,11 @@
 """Decisive order dependence.
 
-``dod_new`` is the projection-cycle algorithm: for each predicate it
-projects the graph onto the nodes lying on all maximal paths from the
-predicate, checks that the projection is a cycle fed by the predicate,
-classifies the cycle nodes by which branch reaches them first, and reads
-the dependent pairs off the two class-crossing cycle segments.
+``dod_new`` takes each predicate p whose all-paths set is p feeding one
+root cycle of the all-paths pointers (``VpMap.fed_cycle``), classifies the
+cycle nodes by which branch of p reaches them first, and reads the
+dependent pairs off the two class-crossing cycle segments.  ``build_ap``
+and ``unfold_cycle`` are the staged reference: they project the graph onto
+the all-paths set and unfold the cycle the projection forms.
 
 ``dod_formula`` is the classic pairwise formula, in its original form
 (plain reachability, known to over-approximate) and the repaired form
@@ -172,57 +173,30 @@ def extract_segments(seq: Iterable[str], classes: SuccessorClasses) -> StripSegm
     )
 
 
-def _assert_projection_shape(ap: ProjectionGraph, classes: SuccessorClasses) -> None:
-    """Invariants that hold whenever the predicate keeps two or more
-    projection successors: the predicate has no incoming edges, its
-    successors are exactly the first-hit classes, and every other node
-    continues the cycle."""
-    for a, ts in ap.succ.items():
-        if ap.p in ts:
-            raise ProjectionStructureError(f"projection edge ({a!r}, {ap.p!r}) enters the predicate")
-        if a != ap.p and len(ts) != 1:
-            raise ProjectionStructureError(f"cycle node {a!r} has {len(ts)} successors")
-    if set(ap.succ[ap.p]) != set(classes.v1 | classes.v2):
-        raise ProjectionStructureError("projection successors disagree with the branch classes")
-
-
-def _dod_for_predicate(g: Cfg, p: str, vp_of_p: frozenset[str]) -> set[tuple[str, str, str]]:
-    # The predicate's projection successors are exactly v1 | v2, so one
-    # that does not branch in the projection is dropped before it is built.
-    classes = compute_v1_v2(g, p, vp_of_p)
-    if len(classes.v1 | classes.v2) <= 1:
-        return set()
-    ap = build_ap(g, p, vp_of_p)
-    _assert_projection_shape(ap, classes)
-    if classes.v1 & classes.v2:
-        return set()
-    seq = unfold_cycle(ap, classes.v1)
-    if not match_unfolding_pattern(seq, classes):
-        return set()
-    segments = extract_segments(seq, classes)
-    out = set()
-    for a in segments.m_segment:
-        for b in segments.o_segment:
-            out.add((p, a, b) if a < b else (p, b, a))
-    return out
-
-
 def dod_new(g: Cfg) -> DodRelation:
-    """Projection-cycle DOD, output-optimal: O(|V|^2) per all-paths pointer
-    sweep, then O(|V|^3) for the projections onto each predicate's chain."""
+    """Projection-cycle DOD, output-optimal: O(|V|^2) per pointer sweep, then
+    two first-hit searches per predicate whose parent is on a root cycle."""
     return _dod_from_vp(g, vp_sets(g))
 
 
 def _dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
     labels = g.labels
-    parent = vp.parent
     out: set[tuple[str, str, str]] = set()
     for p in predicate_indices(g):
-        # Dependent pairs are distinct members other than p, so a chain of
-        # fewer than three nodes is skipped before it is read.
-        q = parent[p]
-        if q >= 0 and parent[q] not in (-1, p):
-            out |= _dod_for_predicate(g, labels[p], frozenset(labels[i] for i in vp.chain(p)))
+        fed = vp.fed_cycle(p)
+        if not fed:
+            continue
+        cycle = [labels[i] for i in fed]
+        p_lab = labels[p]
+        classes = compute_v1_v2(g, p_lab, cycle)
+        if classes.v1 & classes.v2:
+            continue
+        start = next(i for i, x in enumerate(cycle) if x in classes.v1)
+        seq = cycle[start:] + cycle[:start]
+        if not match_unfolding_pattern(seq, classes):
+            continue
+        segments = extract_segments(seq, classes)
+        out.update((p_lab, a, b) if a < b else (p_lab, b, a) for a in segments.m_segment for b in segments.o_segment)
     return frozenset(out)
 
 

@@ -6,6 +6,13 @@ import random
 
 from .cfg import Cfg
 
+# 100x the 10,000-node graphs of the throughput tests; generating a random
+# graph of 200,000 nodes already peaks at about 136 MiB.
+MAX_NODES = 1_000_000
+# Each level roughly doubles the graph: over seeds 0-9, at most 15,237 nodes
+# at depth 16 and 32,916 at depth 17.
+MAX_REDUCIBLE_DEPTH = 16
+
 
 def random_cfg(n_nodes: int, n_edges: int, seed: int) -> Cfg:
     """Random graph with exactly ``n_edges`` edges and out-degree at most two.
@@ -16,6 +23,8 @@ def random_cfg(n_nodes: int, n_edges: int, seed: int) -> Cfg:
     """
     if n_nodes < 0:
         raise ValueError("node count must be non-negative")
+    if n_nodes > MAX_NODES:
+        raise ValueError(f"node count must be at most {MAX_NODES}")
     if n_edges < 0 or n_edges > 2 * n_nodes:
         raise ValueError(f"infeasible edge count: {n_edges} (at most {2 * n_nodes} for {n_nodes} nodes)")
     rng = random.Random(seed)
@@ -25,11 +34,6 @@ def random_cfg(n_nodes: int, n_edges: int, seed: int) -> Cfg:
     sources = rng.sample(slots, n_edges)
     edges = [(labels[s], labels[rng.randrange(n_nodes)]) for s in sources]
     return Cfg(labels, edges)
-
-
-# Each level roughly doubles the graph: over seeds 0-9, at most 15,237 nodes
-# at depth 16 and 32,916 at depth 17.
-MAX_REDUCIBLE_DEPTH = 16
 
 
 def random_reducible_cfg(depth: int, seed: int) -> Cfg:
@@ -90,6 +94,8 @@ def worst_case_dod_cfg(total_nodes: int) -> Cfg:
     branch to two diametrically opposite cycle nodes, splitting the cycle
     into two strips of ``total_nodes / 4`` nodes each.
     """
+    if total_nodes > MAX_NODES:
+        raise ValueError(f"node count must be at most {MAX_NODES}")
     if total_nodes < 8 or total_nodes % 4 != 0:
         raise ValueError("total node count must be >= 8 and divisible by 4")
     k = total_nodes // 2

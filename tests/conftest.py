@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from random import Random
 
 import pytest
 from hypothesis import strategies as st
@@ -102,6 +103,63 @@ def reduces_to_single_node(g: Cfg) -> bool:
         if not merged:
             break
     return len(succ) == 1 and not any(succ.values())
+
+
+def diamond_ladder(rungs: int, closed: bool, arm: int = 1) -> Cfg:
+    """p_i branches to two arms of ``arm`` nodes each, which join at j_i,
+    which leads to p_{i+1}; the last join ends the graph or, if ``closed``,
+    returns to p_0."""
+    labels, edges = [], []
+    for i in range(rungs):
+        p, j = f"p{i}", f"j{i}"
+        arms = [[f"{x}{i}_{k}" for k in range(arm)] for x in "ab"]
+        labels += [p, *arms[0], *arms[1], j]
+        for path in arms:
+            edges += [(p, path[0]), *zip(path, path[1:]), (path[-1], j)]
+        if i + 1 < rungs or closed:
+            edges.append((j, f"p{(i + 1) % rungs}"))
+    return Cfg(labels, edges)
+
+
+def fed_cycle_cfg(seed: int, cycle: tuple[int, int] = (3, 30), feeders: int = 6) -> Cfg:
+    """A seeded cycle of ``cycle`` nodes fed by 1-``feeders`` branches, each
+    to two distinct cycle nodes directly or, as in fig7, through two
+    intermediate branches.  A chain of dispatch branches reaches every
+    feeder from the first declared node; the other nodes are declared in a
+    seeded order.  At most ``cycle[1] + 4 * feeders - 1`` nodes.  Unlike
+    small random graphs, most of these have a non-empty DOD."""
+    rng = Random(seed)
+    k = rng.randint(*cycle)
+    ring = [f"c{i:02d}" for i in range(k)]
+    edges = [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+    labels = list(ring)
+
+    def branch(name: str) -> None:
+        labels.append(name)
+        edges.extend((name, ring[i]) for i in rng.sample(range(k), 2))
+
+    f = rng.randint(1, feeders)
+    for j in range(f):
+        p = f"p{j}"
+        if rng.random() < 0.5:
+            branch(p)
+        else:
+            labels.append(p)
+            edges += [(p, f"u{j}"), (p, f"w{j}")]
+            branch(f"u{j}")
+            branch(f"w{j}")
+    dispatch = [f"s{j}" for j in range(f - 1)] + [f"p{f - 1}"]
+    for j, s in enumerate(dispatch[:-1]):
+        edges += [(s, f"p{j}"), (s, dispatch[j + 1])]
+    labels += dispatch[:-1]
+    rng.shuffle(labels)
+    labels.remove(dispatch[0])
+    return Cfg([dispatch[0]] + labels, edges)
+
+
+def fed_cycle_corpus():
+    """Fixed family of 400 fed cycles of 3-30 nodes, at most 53 nodes in all."""
+    return [fed_cycle_cfg(seed) for seed in range(400)]
 
 
 @st.composite

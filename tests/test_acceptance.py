@@ -32,6 +32,8 @@ from ctrldep import (
 )
 from ctrldep.cli import differential_failures, time_algorithm
 
+from conftest import diamond_ladder
+
 
 def criterion(number: int, description: str):
     def decorate(fn):
@@ -239,3 +241,22 @@ def test_criterion_10_throughput():
     dod_seconds = time.perf_counter() - started
     assert ntscd_seconds < 5.0, f"ntscd-new took {ntscd_seconds:.2f}s"
     assert dod_seconds < 10.0, f"dod-new took {dod_seconds:.2f}s"
+
+
+@criterion(11, "structured throughput: ntscd-vp and dod-new on a 10k-node chain and ladder < 5s each")
+def test_criterion_11_structured_throughput():
+    # All-paths sets of Theta(n) per node, which criterion 10's random
+    # graphs never have.
+    labels = [f"c{i:05d}" for i in range(10_000)]
+    shapes = {
+        "chain": Cfg(labels, list(zip(labels, labels[1:]))),
+        "ladder": diamond_ladder(1667, closed=False, arm=2),
+    }
+    algos = {"ntscd-vp": lambda g: ntscd_from_vp(g, vp_sets(g)), "dod-new": dod_new}
+    for shape, g in shapes.items():
+        assert len(g) >= 10_000
+        for algo, run in algos.items():
+            started = time.perf_counter()
+            run(g)
+            seconds = time.perf_counter() - started
+            assert seconds < 5.0, f"{algo} on the {len(g)}-node {shape} took {seconds:.2f}s"

@@ -32,9 +32,9 @@ from ctrldep import (
     vp_sets,
     worst_case_dod_cfg,
 )
-from ctrldep.generate import MAX_REDUCIBLE_DEPTH
+from ctrldep.generate import MAX_NODES, MAX_REDUCIBLE_DEPTH
 
-from conftest import small_cfgs
+from conftest import fed_cycle_cfg, small_cfgs
 
 FIG3 = '{"nodes":["1","2","3","4","5","6"],"edges":[["1","2"],["1","6"],["2","3"],["2","4"],["3","5"],["4","5"],["5","6"]]}'
 FIG4 = '{"nodes":["a","b","c"],"edges":[["a","b"],["a","c"],["b","c"],["c","b"]]}'
@@ -334,6 +334,8 @@ def structural_graphs():
     yield from (g for g in reducible if 30 <= len(g) <= 64)
     for n in range(30, 65, 2):
         yield random_cfg(n, (3 * n) // 2, n)
+    fed = (fed_cycle_cfg(seed, cycle=(26, 40)) for seed in range(6))
+    yield from (g for g in fed if 30 <= len(g) <= 64)
 
 
 def test_gated_rows_agree_with_the_oracle_at_structural_sizes():
@@ -349,7 +351,13 @@ def _unordered(kind: str, relation, rename=lambda x: x) -> set:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(small_cfgs(), st.sampled_from([worst_case_dod_cfg(8), worst_case_dod_cfg(12)])), st.data())
+@given(
+    st.one_of(
+        small_cfgs(),
+        st.sampled_from([worst_case_dod_cfg(8), worst_case_dod_cfg(12), fed_cycle_cfg(4), fed_cycle_cfg(8)]),
+    ),
+    st.data(),
+)
 def test_gated_relations_ignore_node_and_edge_order(g, data):
     # Redeclare the nodes in a drawn order (which is also the sweep order of
     # ntscd-rang-fixed and the order edges are listed in) and swap the two
@@ -358,7 +366,7 @@ def test_gated_relations_ignore_node_and_edge_order(g, data):
     # injective relabelling, which moves the smallest label (where
     # unfold_cycle starts): the relation must be the original one mapped
     # through it.  Small random graphs rarely have a DOD triple, so the
-    # worst-case graphs are drawn too.
+    # worst-case graphs and fed cycles are drawn too.
     order = data.draw(st.permutations(g.labels))
     swapped = data.draw(st.sets(st.sampled_from(g.labels)))
     fresh = data.draw(
@@ -454,4 +462,17 @@ def test_reducible_depth_above_the_cap_exit_2(command, tmp_path):
     proc = run_cli(command, *argv)
     assert proc.returncode == 2, proc.stderr
     assert f"--depth {depth}: depth must be at most {MAX_REDUCIBLE_DEPTH}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", ["random", "dod-worst"])
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_nodes_above_the_cap_exit_2(command, shape, tmp_path):
+    out = tmp_path / "out"
+    nodes = str(MAX_NODES + 1)
+    argv = ["--shape", shape, "--nodes", nodes, "--edges", "5"]
+    argv += ["--output", str(out)] if command == "gen" else ["--algos", "dod-new", "--csv", str(out)]
+    proc = run_cli(command, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: --nodes {nodes}: node count must be at most {MAX_NODES}" in proc.stderr
     assert not out.exists()

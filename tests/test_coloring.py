@@ -20,7 +20,7 @@ from ctrldep import (
 )
 from ctrldep.coloring import Coloring
 
-from conftest import small_cfgs
+from conftest import diamond_ladder, small_cfgs
 
 
 def color(g: Cfg, targets) -> frozenset[str]:
@@ -107,6 +107,22 @@ def test_vp_sets_branches_that_rejoin_at_the_predicate():
     assert vp["v"] == {"v"} and vp["a"] == {"a", "v"}
 
 
+def test_fed_cycle_reads_the_root_cycle_a_predicate_feeds(fig7):
+    vp = vp_sets(fig7)
+    p = fig7.index["p"]
+    cycle = [fig7.labels[i] for i in vp.fed_cycle(p)]
+    assert cycle[0] == fig7.labels[vp.parent[p]]
+    assert set(cycle) == vp["p"] - {"p"}
+    assert all(vp.parent[fig7.index[a]] == fig7.index[b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    assert vp.fed_cycle(fig7.index["n3"]) == ()
+    # c0 lies on the cycle its parent is on, three nodes long, so the O(1)
+    # test passes it and the cycle lookup refuses it.
+    g = Cfg(["c0", "c1", "c2", "c3"], [("c0", "c1"), ("c0", "c2"), ("c1", "c2"), ("c2", "c3"), ("c3", "c0")])
+    vp = vp_sets(g)
+    assert vp.parent == [2, 2, 3, 0]
+    assert vp.fed_cycle(0) == ()
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_cfgs(max_nodes=8))
 def test_vp_sets_match_oracle(g):
@@ -117,19 +133,6 @@ def test_vp_sets_match_oracle(g):
             m for m in g.labels if not oracle_exists_maximal_avoiding(g, n, m)
         }
         assert vp[n] == expected
-
-
-def diamond_ladder(rungs: int, closed: bool) -> Cfg:
-    """p_i branches to a_i and b_i, which join at j_i, which leads to
-    p_{i+1}; the last join ends the graph or, if ``closed``, returns to p_0."""
-    labels, edges = [], []
-    for i in range(rungs):
-        p, a, b, j = (f"{x}{i}" for x in "pabj")
-        labels += [p, a, b, j]
-        edges += [(p, a), (p, b), (a, j), (b, j)]
-        if i + 1 < rungs or closed:
-            edges.append((j, f"p{(i + 1) % rungs}"))
-    return Cfg(labels, edges)
 
 
 # Sizes where long chains, deep meets and cycles entered at several points

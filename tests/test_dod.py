@@ -20,6 +20,8 @@ from ctrldep import (
     match_unfolding_pattern,
     ntscd_new,
     oracle_dod,
+    predicates,
+    random_cfg,
     random_reducible_cfg,
     unfold_cycle,
     vp_sets,
@@ -27,7 +29,7 @@ from ctrldep import (
 )
 from ctrldep.dod import ProjectionGraph, ProjectionStructureError
 
-from conftest import small_cfgs
+from conftest import fed_cycle_corpus, small_cfgs
 
 
 def test_build_ap_fig4(fig4):
@@ -218,3 +220,57 @@ def test_dod_triples_are_distinct_and_normalized(g):
     for p, a, b in dod_new(g):
         assert a < b
         assert p not in (a, b)
+
+
+def staged_dod(g: Cfg) -> frozenset:
+    """The staged reference: project every predicate with at least three
+    all-paths members, classify, unfold from the smallest v1 node, match and
+    cut the segments."""
+    vp = vp_sets(g)
+    out = set()
+    for p in predicates(g):
+        members = vp[p]
+        if len(members) < 3:
+            continue
+        ap = build_ap(g, p, members)
+        classes = compute_v1_v2(g, p, members)
+        if len(ap.succ[p]) < 2 or classes.v1 & classes.v2:
+            continue
+        seq = unfold_cycle(ap, classes.v1)
+        if match_unfolding_pattern(seq, classes):
+            segments = extract_segments(seq, classes)
+            out |= {(p, *sorted((a, b))) for a in segments.m_segment for b in segments.o_segment}
+    return frozenset(out)
+
+
+def test_staged_reference_and_the_pointer_cycle_agree():
+    # dod_new reads the cycle off the pointers instead of projecting; for
+    # every predicate that feeds a pointer cycle through two distinct first
+    # hits, the projection must be that cycle fed by the predicate, and
+    # unfolding it from any v1 node must give the cycle in pointer order
+    # from that node.  The random and reducible graphs add predicates with
+    # three or more members that feed no cycle.
+    graphs = fed_cycle_corpus() + [random_cfg(n, (3 * n) // 2, s) for n in range(4, 41) for s in range(10)]
+    graphs += [random_reducible_cfg(depth, seed) for depth in range(3, 7) for seed in range(5)]
+    fed = 0
+    for g in graphs:
+        vp = vp_sets(g)
+        for p in predicates(g):
+            cycle = tuple(g.labels[i] for i in vp.fed_cycle(g.index[p]))
+            if not cycle:
+                continue
+            members = vp[p]
+            assert members == {p, *cycle}
+            ap = build_ap(g, p, members)
+            classes = compute_v1_v2(g, p, members)
+            if len(classes.v1 | classes.v2) < 2:
+                continue  # both branches first hit one node: no triple, and a cycle node may enter p
+            fed += 1
+            assert not any(p in ts for ts in ap.succ.values())
+            assert all(len(ts) == 1 for a, ts in ap.succ.items() if a != p)
+            assert set(ap.succ[p]) == classes.v1 | classes.v2
+            for start in classes.v1:
+                i = cycle.index(start)
+                assert unfold_cycle(ap, {start}) == cycle[i:] + cycle[:i]
+        assert staged_dod(g) == dod_new(g)
+    assert fed >= 1000

@@ -12,7 +12,7 @@ from ctrldep import (
     random_reducible_cfg,
     worst_case_dod_cfg,
 )
-from ctrldep.generate import MAX_REDUCIBLE_DEPTH
+from ctrldep.generate import MAX_NODES, MAX_REDUCIBLE_DEPTH
 
 from conftest import reduces_to_single_node
 
@@ -47,6 +47,14 @@ def test_reducible_depth_zero():
 def test_reducible_depth_is_capped():
     with pytest.raises(ValueError, match=f"depth must be at most {MAX_REDUCIBLE_DEPTH}"):
         random_reducible_cfg(MAX_REDUCIBLE_DEPTH + 1, 0)
+
+
+def test_node_count_is_capped():
+    # Refused before anything is allocated.
+    with pytest.raises(ValueError, match=f"node count must be at most {MAX_NODES}"):
+        random_cfg(MAX_NODES + 1, 5, 0)
+    with pytest.raises(ValueError, match=f"node count must be at most {MAX_NODES}"):
+        worst_case_dod_cfg(MAX_NODES + 1)
 
 
 def test_reducible_deterministic():

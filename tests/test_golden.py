@@ -28,6 +28,8 @@ from ctrldep import (
     worst_case_dod_cfg,
 )
 
+from conftest import fed_cycle_corpus
+
 
 def corpus():
     for n in range(2, 13):
@@ -78,15 +80,31 @@ def test_original_formula_relation():
     assert digest(sorted(dod_formula(g, "original")) for g in corpus()) == "62b2910b5a58f689a23f8b00eb4aa2299bbc42eedb4556351a248ac8212d5c08"
 
 
-def test_all_paths_sets_and_what_is_read_off_them():
-    def closure_from_first(g):
-        try:
-            return sorted(strong_closure(g, ClosureSpec(w=frozenset({g.labels[0]}), start=g.labels[0])))
-        except ClosureSpecError as exc:
-            return str(exc)
+def closure_from_first(g, w=()):
+    """The closure of the first label and ``w`` from the first label, or
+    the precondition error."""
+    try:
+        return sorted(strong_closure(g, ClosureSpec(w=frozenset({g.labels[0], *w}), start=g.labels[0])))
+    except ClosureSpecError as exc:
+        return str(exc)
 
+
+def test_all_paths_sets_and_what_is_read_off_them():
     graphs = list(structured_corpus())
     assert digest(sorted(dod_new(g)) for g in graphs) == "ee7786bce53d494dc1b3abf09e9ee623bfaec7147b2787a7a70251182965b02d"
     assert digest(sorted(ntscd_from_vp(g, vp_sets(g))) for g in graphs) == "c55460a4ed7cc400d12cacc58b4f00ebd8dd9b7ed50d9bb47eb1f4a18c43d732"
     assert digest([sorted(s) for s in vp_sets(g).index_sets] for g in graphs) == "0bbe59148d2403401634fc4e2e0a757abdc89a2a85713cee8cecd82ce1805727"
     assert digest(closure_from_first(g) for g in graphs) == "1544ed724e7f28773ca6ad3a603c1b85cc05cee36a47fd8b2d09d7b696c89052"
+
+
+def test_dod_on_fed_cycles():
+    # Every fed cycle has a non-empty DOD, which the corpora above seldom
+    # have.  The closure criterion adds two opposite cycle nodes to the
+    # start, so DOD triples pull predicates in.
+    def closure(g):
+        ring = sorted(x for x in g.labels if x.startswith("c"))
+        return closure_from_first(g, (ring[0], ring[len(ring) // 2]))
+
+    graphs = fed_cycle_corpus() + [worst_case_dod_cfg(n) for n in range(8, 129, 8)]
+    assert digest(sorted(dod_new(g)) for g in graphs) == "b112a9b386387126f1d153b8dc04cff9e5bf2403993c5fd6336c32e6cf34e320"
+    assert digest(closure(g) for g in graphs) == "43cb525a842152e880bde1b85769845f796200096964e08892aa9e54b83abb3e"
