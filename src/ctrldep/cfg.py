@@ -165,6 +165,8 @@ def _parse_json(text: str) -> Cfg:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object with 'nodes' and 'edges'")
     nodes = data.get("nodes")

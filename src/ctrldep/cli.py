@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -262,6 +263,7 @@ def _dump_mismatch(g: Cfg, failures: list[str], path: str) -> None:
         for algo_id, algo in ALGORITHMS.items():
             if algo.kind == kind and algo.gate is not None:
                 print(f"  {algo_id}:".ljust(22) + json.dumps(sorted(algo.run(g, RunOptions()))))
+    print(f"replay: ctrldep check --input {shlex.quote(path)}")
 
 
 @dataclass(frozen=True)

@@ -115,19 +115,26 @@ class VpMap:
             yield v
             v = parent[v]
 
-    def fed_cycle(self, p: int) -> tuple[int, ...]:
-        """The root cycle C with vp(p) = {p} | C, in pointer order from
-        ``parent[p]``; empty when ``parent[p]`` is on no root cycle or ``p``
-        is on it.  O(1) when ``parent[p]`` or its parent is -1 or ``p``."""
+    def fed_root(self, p: int) -> int:
+        """The root cycle C with vp(p) = {p} | C, named by its least node;
+        -1 when ``parent[p]`` is on no root cycle or ``p`` is on it.  O(1),
+        and without building the root-cycle map when ``parent[p]`` or its
+        parent is -1 or ``p``."""
         q = self.parent[p]
-        if q < 0 or self.parent[q] in (-1, p) or q not in self._on_root_cycle or p in self._on_root_cycle:
-            return ()
-        return tuple(self.chain(q))
+        if q < 0 or self.parent[q] in (-1, p) or p in self.root_cycle:
+            return -1
+        return self.root_cycle.get(q, -1)
+
+    def fed_cycle(self, p: int) -> tuple[int, ...]:
+        """The root cycle of ``fed_root(p)`` in pointer order from
+        ``parent[p]``; empty when there is none."""
+        return tuple(self.chain(self.parent[p])) if self.fed_root(p) >= 0 else ()
 
     @cached_property
-    def _on_root_cycle(self) -> set[int]:
-        """Nodes on a root cycle: what is left after peeling off, leaves
-        first, every node no pointer enters.  O(|V|)."""
+    def root_cycle(self) -> dict[int, int]:
+        """Each node on a root cycle, mapped to the cycle's least node.  The
+        cycles are what is left after peeling off, leaves first, every node
+        no pointer enters.  O(|V|)."""
         parent = self.parent
         entering = Counter(parent)  # key -1 counts the roots, harmlessly
         leaves = [v for v in range(len(parent)) if not entering[v]]
@@ -136,7 +143,12 @@ class VpMap:
             entering[q] -= 1
             if q >= 0 and not entering[q]:
                 leaves.append(q)
-        return {v for v in range(len(parent)) if entering[v]}
+        root_cycle: dict[int, int] = {}
+        for v in range(len(parent)):
+            if entering[v] and v not in root_cycle:
+                for x in self.chain(v):
+                    root_cycle[x] = v
+        return root_cycle
 
     @cached_property
     def index_sets(self) -> list[frozenset[int]]:

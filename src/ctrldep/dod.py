@@ -1,11 +1,14 @@
 """Decisive order dependence.
 
-``dod_new`` takes each predicate p whose all-paths set is p feeding one
-root cycle of the all-paths pointers (``VpMap.fed_cycle``), classifies the
-cycle nodes by which branch of p reaches them first, and reads the
-dependent pairs off the two class-crossing cycle segments.  ``build_ap``
-and ``unfold_cycle`` are the staged reference: they project the graph onto
-the all-paths set and unfold the cycle the projection forms.
+``dod_segments`` takes each predicate p whose all-paths set is p feeding
+one root cycle of the all-paths pointers (``VpMap.fed_cycle``), classifies
+the cycle nodes by which branch of p reaches them first, and reads off the
+two class-crossing cycle segments.  ``dod_new`` emits every pair drawn
+across them; the strong closure reads the segments of only the cycles it
+holds two nodes of.  ``build_ap``, ``compute_v1_v2``, ``unfold_cycle``,
+``match_unfolding_pattern`` and ``extract_segments`` are the staged
+reference, on labels: they project the graph onto the all-paths set and
+unfold the cycle the projection forms.
 
 ``dod_formula`` is the classic pairwise formula, in its original form
 (plain reachability, known to over-approximate) and the repaired form
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cfg import Cfg, bit_indices, first_hits, predicate_indices, reach
 from .coloring import VpMap, vp_sets
@@ -174,29 +177,58 @@ def extract_segments(seq: Iterable[str], classes: SuccessorClasses) -> StripSegm
 
 
 def dod_new(g: Cfg) -> DodRelation:
-    """Projection-cycle DOD, output-optimal: O(|V|^2) per pointer sweep, then
-    two first-hit searches per predicate whose parent is on a root cycle."""
+    """Pointer-cycle DOD, output-optimal: O(|V|^2) per pointer sweep, then
+    ``dod_segments`` over every predicate and the pairs drawn across each
+    predicate's two segments."""
     return _dod_from_vp(g, vp_sets(g))
+
+
+def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(p, m_segment, o_segment) for each predicate p of ``preds`` that has
+    order-dependent pairs, as node indices: every pair drawn across the two
+    segments, and no other, is order-dependent on p.
+
+    p must feed a root cycle C (``VpMap.fed_root``), its two branches must
+    first reach disjoint classes of C, and the classes must alternate once
+    around C.  The segments run from the last node of one class to the
+    first of the other, which they exclude.  Two first-hit searches and
+    O(|C|) per predicate that feeds a cycle; O(1) for the others.
+    """
+    cycles: dict[int, tuple[tuple[int, ...], set[int]]] = {}
+    for p in preds:
+        c = vp.fed_root(p)
+        if c < 0:
+            continue
+        if c not in cycles:
+            cycle = tuple(vp.chain(c))  # the segments are cyclic, so any start does
+            cycles[c] = cycle, set(cycle)
+        cycle, on_cycle = cycles[c]
+        s1, s2 = g.succs[p]
+        v1 = first_hits(g, (s1,), on_cycle)
+        v2 = first_hits(g, (s2,), on_cycle)
+        if v1 & v2:
+            continue
+        marks = [(i, 1 if x in v1 else 2) for i, x in enumerate(cycle) if x in v1 or x in v2]
+        # One alternation around the cycle is two changes of class.
+        changes = [k for k in range(len(marks)) if marks[k][1] != marks[k - 1][1]]
+        if len(changes) != 2:
+            continue
+        into: dict[int, tuple[int, ...]] = {}
+        for k in changes:
+            a, b = marks[k - 1][0], marks[k][0]
+            into[marks[k][1]] = cycle[a:b] if a < b else cycle[a:] + cycle[:b]
+        yield p, into[2], into[1]
 
 
 def _dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
     labels = g.labels
     out: set[tuple[str, str, str]] = set()
-    for p in predicate_indices(g):
-        fed = vp.fed_cycle(p)
-        if not fed:
-            continue
-        cycle = [labels[i] for i in fed]
+    for p, m_segment, o_segment in dod_segments(g, vp, predicate_indices(g)):
         p_lab = labels[p]
-        classes = compute_v1_v2(g, p_lab, cycle)
-        if classes.v1 & classes.v2:
-            continue
-        start = next(i for i, x in enumerate(cycle) if x in classes.v1)
-        seq = cycle[start:] + cycle[:start]
-        if not match_unfolding_pattern(seq, classes):
-            continue
-        segments = extract_segments(seq, classes)
-        out.update((p_lab, a, b) if a < b else (p_lab, b, a) for a in segments.m_segment for b in segments.o_segment)
+        others = [labels[b] for b in o_segment]
+        for a in m_segment:
+            x = labels[a]
+            out.update((p_lab, x, y) if x < y else (p_lab, y, x) for y in others)
     return frozenset(out)
 
 

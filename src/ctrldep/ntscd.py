@@ -1,18 +1,19 @@
 """Non-termination sensitive control dependence, four ways.
 
 ``ntscd_new`` runs one backward propagation per node and reads the
-dependencies off predicate successors.  ``ntscd_from_vp`` derives the same
-relation from the all-paths sets of ``vp_sets``.  ``ntscd_ranganath`` is a
-faithful transcription of the classic forward worklist algorithm, which is
-sensitive to the order nodes are popped and can produce wrong results;
-``ntscd_ranganath_fixed`` repairs it by iterating the loop body over all
-nodes to a fixpoint.
+dependencies off predicate successors; ``ntscd_controllers`` is that step
+for one node, and the strong closure runs it only for the nodes it takes
+in.  ``ntscd_from_vp`` derives the same relation from the all-paths sets of
+``vp_sets``.  ``ntscd_ranganath`` is a faithful transcription of the
+classic forward worklist algorithm, which is sensitive to the order nodes
+are popped and can produce wrong results; ``ntscd_ranganath_fixed`` repairs
+it by iterating the loop body over all nodes to a fixpoint.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cfg import Cfg, bit_indices, predicate_indices
 from .coloring import Coloring, VpMap
@@ -29,35 +30,42 @@ WorklistPolicy = str | Sequence[str]
 def ntscd_new(g: Cfg) -> NtscdRelation:
     """Backward-propagation NTSCD; O(|V|^2) and order-independent.
 
-    For each node n, propagate "every maximal path hits n" backward; then
-    every predicate with one member successor and one non-member successor
-    controls n.
+    For each node n, the predicates ``ntscd_controllers`` finds for n
+    control it.
     """
-    n = len(g.labels)
     labels = g.labels
+    controllers = ntscd_controllers(g)
+    return frozenset((labels[p], labels[t]) for t in range(len(labels)) for p in controllers(t))
+
+
+def ntscd_controllers(g: Cfg) -> Callable[[int], list[int]]:
+    """The NTSCD controllers of one node at a time, as a function of its
+    index.  For a target n it propagates "every maximal path hits n"
+    backward; every predicate with one member successor and one non-member
+    successor controls n.  O(|E|) per call."""
     eng = Coloring(g)
-    is_pred = bytearray(n)
-    branch: list[tuple[int, int] | None] = [None] * n
+    stamp = eng._stamp
+    red = eng._red
+    branch: list[tuple[int, ...] | None] = [None] * len(g.labels)
     for p in predicate_indices(g):
-        is_pred[p] = 1
-        branch[p] = (g.succs[p][0], g.succs[p][1])
-    out = set()
-    for target in range(n):
+        branch[p] = g.succs[p]
+
+    def controllers(target: int) -> list[int]:
         eng.run((target,))
         gen = eng._gen
-        stamp = eng._stamp
-        red = eng._red
+        out = []
         # Any predicate with a red successor had its counter touched, so
         # scanning the touched list sees every candidate (including the
         # target itself, which is touched as a seed).
         for m in eng.last_touched:
-            if is_pred[m]:
-                s1, s2 = branch[m]  # type: ignore[misc]
-                r1 = stamp[s1] == gen and red[s1]
-                r2 = stamp[s2] == gen and red[s2]
-                if bool(r1) != bool(r2):
-                    out.add((labels[m], labels[target]))
-    return frozenset(out)
+            b = branch[m]
+            if b is not None:
+                s1, s2 = b
+                if bool(stamp[s1] == gen and red[s1]) != bool(stamp[s2] == gen and red[s2]):
+                    out.append(m)
+        return out
+
+    return controllers
 
 
 def ntscd_from_vp(g: Cfg, vp: VpMap) -> NtscdRelation:

@@ -145,6 +145,19 @@ def test_analyze_bad_input_exit_2(tmp_path):
     assert "duplicate node label" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_deeply_nested_json_exit_2(command, tmp_path):
+    # Too deep for the JSON decoder's recursion, which must not surface as
+    # a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    argv = ["--algo", "cc"] if command == "analyze" else []
+    proc = run_cli(command, "--input", str(path), *argv, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: JSON nested too deeply to parse" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_diff_equal_exit_0(fig3_file):
     proc = run_cli(
         "diff", "--input", fig3_file, "--algo", "ntscd-new", "--algo", "ntscd-rang-fixed"
@@ -316,6 +329,7 @@ def test_gate_names_a_wrong_gated_variant(algo, fig7, tmp_path, capsys, monkeypa
     out = capsys.readouterr().out
     assert failures[0] in out
     assert f"  {algo}:" in out and "  oracle ntscd:" in out and "  oracle dod:" in out
+    assert f"replay: ctrldep check --input {fail_out}" in out.splitlines()
     assert parse_cfg(fail_out.read_text()) == fig7
 
 

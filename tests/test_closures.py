@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrldep.closures
+import ctrldep.dod
+import ctrldep.ntscd
 from ctrldep import (
     Cfg,
     ClosureSpec,
@@ -17,9 +20,10 @@ from ctrldep import (
     reachable_set,
     strong_closure,
     theta,
+    worst_case_dod_cfg,
 )
 
-from conftest import FIG3_NTSCD, small_cfgs
+from conftest import FIG3_NTSCD, fed_cycle_corpus, small_cfgs
 
 
 def test_theta_fig4(fig4):
@@ -138,3 +142,70 @@ def test_oracle_min_closure_matches_fig4_with_start(fig4_with_start):
     result = oracle_min_closure(fig4_with_start, {"s", "b", "c"})
     assert result.nodes == {"s", "a", "b", "c"}
     assert not result.ambiguous
+
+
+def behind_dispatch(g: Cfg) -> tuple[Cfg, str]:
+    """``g`` and a start node that reaches every node: its first node when
+    that already does, else the first of a chain of fresh dispatch
+    branches, each to the next and to one node no earlier target reaches."""
+    targets: list[str] = []
+    covered: set[str] = set()
+    for lab in g.labels:
+        if lab not in covered:
+            targets.append(lab)
+            covered |= reachable_set(g, lab)
+    if targets == list(g.labels[:1]):
+        return g, targets[0]
+    chain = [f"d{i}" for i in range(len(targets))]
+    edges = list(g.edges()) + list(zip(chain, targets)) + list(zip(chain, chain[1:]))
+    return Cfg(chain + list(g.labels), edges), chain[0]
+
+
+FED_CYCLES = fed_cycle_corpus()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        small_cfgs(max_nodes=10),
+        st.sampled_from(FED_CYCLES),
+        st.sampled_from([worst_case_dod_cfg(8), worst_case_dod_cfg(12)]),
+    ),
+    st.data(),
+)
+def test_strong_closure_equals_the_closure_over_whole_relations(g, data):
+    g, start = behind_dispatch(g)
+    w = {start} | data.draw(st.sets(st.sampled_from(g.labels), max_size=4))
+    dod, ntscd = dod_and_ntscd(g)
+    expected = dependence_closure(g, w, ntscd, dod)
+    assert strong_closure(g, ClosureSpec(w=frozenset(w), start=start)) == expected
+
+
+def test_strong_closure_builds_neither_whole_relation(fig7, monkeypatch):
+    # Criteria of the start and two opposite cycle nodes, so DOD triples
+    # pull predicates in.
+    cases = [(fig7, frozenset({"p", "n1", "n5"}))]
+    for g in FED_CYCLES[:100]:
+        ring = sorted(x for x in g.labels if x.startswith("c"))
+        cases.append((g, frozenset({g.labels[0], ring[0], ring[len(ring) // 2]})))
+    expected = []
+    dod_counts = 0
+    for g, w in cases:
+        dod, ntscd = dod_and_ntscd(g)
+        expected.append(dependence_closure(g, w, ntscd, dod))
+        dod_counts += expected[-1] != dependence_closure(g, w, ntscd, frozenset())
+    assert dod_counts >= 50
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole relation was built")
+
+    for module, name in [
+        (ctrldep.closures, "dod_and_ntscd"),
+        (ctrldep.closures, "dependence_closure"),
+        (ctrldep.dod, "dod_and_ntscd"),
+        (ctrldep.dod, "ntscd_from_vp"),
+        (ctrldep.ntscd, "ntscd_from_vp"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for (g, w), e in zip(cases, expected):
+        assert strong_closure(g, ClosureSpec(w=w, start=g.labels[0])) == e
