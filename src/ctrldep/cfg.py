@@ -71,9 +71,6 @@ class Cfg:
         labels = self.labels
         return [(labels[i], labels[t]) for i in range(len(labels)) for t in self.succs[i]]
 
-    def successors(self, label: str) -> tuple[str, ...]:
-        return tuple(self.labels[t] for t in self.succs[self.index[label]])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cfg):
             return NotImplemented
@@ -86,6 +83,20 @@ class Cfg:
 def predicate_indices(g: Cfg) -> list[int]:
     """Indices of nodes with exactly two out-edges to distinct targets, in node order."""
     return [i for i, ss in enumerate(g.succs) if len(ss) == 2 and ss[0] != ss[1]]
+
+
+def node_indices(g: Cfg, labels: Iterable[str]) -> list[int]:
+    """The indices of ``labels``, in order; ValueError names the first
+    label that is not a node.  Every public entry point that takes labels
+    converts them here."""
+    index = g.index
+    out = []
+    for lab in labels:
+        i = index.get(lab)
+        if i is None:
+            raise ValueError(f"unknown node {lab!r}")
+        out.append(i)
+    return out
 
 
 def predicates(g: Cfg) -> frozenset[str]:
@@ -139,11 +150,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
-
-
-def reachable_set(g: Cfg, label: str) -> frozenset[str]:
-    """All nodes reachable from ``label``, including itself."""
-    return frozenset(g.labels[i] for i in reach(g.succs, (g.index[label],)))
 
 
 def parse_cfg(text: str, fmt: str = "json") -> Cfg:

@@ -176,17 +176,28 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_gated(algo: Algorithm, g: Cfg) -> frozenset | str:
+    """A gated variant's result, or a description of the exception it
+    raised: to ``check``, a variant that raises is a mismatch, not a crash."""
+    try:
+        return algo.run(g, RunOptions())
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def differential_failures(g: Cfg) -> list[str]:
     """Run every correctness-gated algorithm variant plus the oracle on one
-    graph; returns human-readable descriptions of any disagreements."""
+    graph; returns human-readable descriptions of any disagreements, or of
+    a variant that raised."""
     truth = {kind: oracle(g) for kind, oracle in ORACLES.items()}
-    opts = RunOptions()
     failures: list[str] = []
     for algo_id, algo in ALGORITHMS.items():
         if algo.gate is None:
             continue
-        result = algo.run(g, opts)
-        if algo.gate == "equal" and result != truth[algo.kind]:
+        result = _run_gated(algo, g)
+        if isinstance(result, str):
+            failures.append(f"{algo_id} {result}")
+        elif algo.gate == "equal" and result != truth[algo.kind]:
             failures.append(f"{algo_id} disagrees with the oracle")
         elif algo.gate == "superset" and not result >= truth[algo.kind]:
             failures.append(f"{algo_id} is not a superset of the oracle")
@@ -210,14 +221,16 @@ def _check_one(case: tuple[int, int, int]) -> list[str]:
 
 
 def worker_count() -> int:
-    """Worker cap from CTRLDEP_THREADS (unset: 1, 0: all cores)."""
+    """Worker cap from CTRLDEP_THREADS (unset: 1, 0: all cores), never
+    above the core count."""
     env = os.environ.get("CTRLDEP_THREADS")
     if env is None:
         return 1
     if not env.strip().isdecimal():
         raise ValueError(f"CTRLDEP_THREADS must be an integer >= 0, got {env!r}")
     value = int(env)
-    return value if value > 0 else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    return min(value, cores) if value > 0 else cores
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -237,7 +250,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.max_nodes > ORACLE_MAX_NODES:
         raise BudgetError(f"--max-nodes {args.max_nodes} exceeds the oracle budget of {ORACLE_MAX_NODES}")
     cases = check_cases(args.count, args.max_nodes, args.seed)
-    workers = worker_count()
+    # A fork pool starts all of its workers at the first submit.
+    workers = min(worker_count(), len(cases))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_failures = list(pool.map(_check_one, cases, chunksize=max(1, len(cases) // (4 * workers))))
@@ -262,7 +276,9 @@ def _dump_mismatch(g: Cfg, failures: list[str], path: str) -> None:
         print(f"  oracle {kind}:".ljust(22) + json.dumps(sorted(oracle(g))))
         for algo_id, algo in ALGORITHMS.items():
             if algo.kind == kind and algo.gate is not None:
-                print(f"  {algo_id}:".ljust(22) + json.dumps(sorted(algo.run(g, RunOptions()))))
+                result = _run_gated(algo, g)
+                shown = result if isinstance(result, str) else json.dumps(sorted(result))
+                print(f"  {algo_id}:".ljust(22) + shown)
     print(f"replay: ctrldep check --input {shlex.quote(path)}")
 
 

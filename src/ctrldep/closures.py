@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cfg import Cfg, first_hits, predicate_indices, reach, reachable_set
+from .cfg import Cfg, first_hits, node_indices, predicate_indices, reach
 from .coloring import Coloring, vp_sets
 from .dod import DodRelation, dod_and_ntscd, dod_segments  # noqa: F401  (dod_and_ntscd feeds the reference)
 from .ntscd import NtscdRelation, ntscd_controllers
@@ -53,8 +53,8 @@ class ClosureVerdict:
 
 def theta(g: Cfg, v: str, vset: Iterable[str]) -> frozenset[str]:
     """First-reachable members of ``vset`` from ``v`` via outside nodes."""
-    inside = {g.index[x] for x in vset}
-    vi = g.index[v]
+    inside = set(node_indices(g, vset))
+    vi = node_indices(g, (v,))[0]
     if vi in inside:
         raise ValueError(f"{v!r} is a member of the set")
     return frozenset(g.labels[i] for i in first_hits(g, (vi,), inside))
@@ -67,18 +67,17 @@ def is_strongly_control_closed(g: Cfg, vset: Iterable[str]) -> ClosureVerdict:
     set again, or lie on the all-paths-return region with at most one
     first-reachable element.
     """
-    inside = {g.index[x] for x in vset}
+    inside = set(node_indices(g, vset))
     if not inside:
         return ClosureVerdict(closed=True)
     labels = g.labels
     reachable_from_set = reach(g.succs, inside) - inside
     can_return = reach(g.preds, inside)
-    forced = Coloring(g)
-    forced.run(inside)
+    forced = set(Coloring(g).run(inside))
     for v in sorted(reachable_from_set, key=lambda i: labels[i]):
         if v not in can_return:
             continue
-        if not forced.is_red(v):
+        if v not in forced:
             return ClosureVerdict(closed=False, witness=(labels[v], "escapes-then-returns"))
         if len(first_hits(g, (v,), inside)) > 1:
             return ClosureVerdict(closed=False, witness=(labels[v], "theta-ambiguous"))
@@ -96,9 +95,7 @@ def dependence_closure(
     A controlling predicate joins when its dependent node is in (NTSCD) or
     when both members of its dependent pair are in (DOD).
     """
-    for lab in w:
-        if lab not in g.index:
-            raise ValueError(f"unknown node {lab!r}")
+    node_indices(g, w)  # rejects an unknown label
     controllers_of: dict[str, list[str]] = defaultdict(list)
     for p, n in ntscd:
         controllers_of[n].append(p)
@@ -136,15 +133,13 @@ def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
     joins when the closure holds a node of each.  Beyond the all-paths
     pointers, O(|closure| * |E|) plus the segments read.
     """
-    if spec.start not in g.index:
-        raise ValueError(f"unknown node {spec.start!r}")
-    for lab in spec.w:
-        if lab not in g.index:
-            raise ValueError(f"unknown node {lab!r}")
+    start = node_indices(g, (spec.start,))[0]
+    w = node_indices(g, spec.w)
     if spec.start not in spec.w:
         raise ClosureSpecError(f"start node {spec.start!r} must belong to the criterion set")
-    missing = set(g.labels) - reachable_set(g, spec.start)
-    if missing:
+    reached = reach(g.succs, (start,))
+    if len(reached) < len(g):
+        missing = [lab for i, lab in enumerate(g.labels) if i not in reached]
         raise ClosureSpecError(
             f"{len(missing)} node(s) unreachable from {spec.start!r}, e.g. {min(missing)!r}"
         )
@@ -172,8 +167,8 @@ def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
             if held[p] == 3:
                 join(p)
 
-    for lab in spec.w:
-        join(g.index[lab])
+    for x in w:
+        join(x)
     while queue:
         x = queue.pop()
         for p in controllers(x):

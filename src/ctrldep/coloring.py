@@ -84,8 +84,24 @@ class Coloring:
         self.last_touched = touched
         return red_list
 
-    def is_red(self, i: int) -> bool:
-        return self._stamp[i] == self._gen and bool(self._red[i])
+    def split_predicates(self) -> list[int]:
+        """Predicates with exactly one red successor after the last run; for
+        a one-node target, the predicates that NTSCD-control it.  Any node
+        with a red successor had its counter touched, so scanning
+        ``last_touched`` sees every candidate (the seeds included); a node
+        whose two edges share a target never has exactly one."""
+        gen = self._gen
+        stamp = self._stamp
+        red = self._red
+        succs = self.g.succs
+        out = []
+        for m in self.last_touched:
+            ss = succs[m]
+            if len(ss) == 2:
+                s1, s2 = ss
+                if bool(stamp[s1] == gen and red[s1]) != bool(stamp[s2] == gen and red[s2]):
+                    out.append(m)
+        return out
 
     def edge_visits(self) -> int:
         """Reverse-edge inspections made by the last run (at most |E|).
@@ -124,11 +140,6 @@ class VpMap:
         if q < 0 or self.parent[q] in (-1, p) or p in self.root_cycle:
             return -1
         return self.root_cycle.get(q, -1)
-
-    def fed_cycle(self, p: int) -> tuple[int, ...]:
-        """The root cycle of ``fed_root(p)`` in pointer order from
-        ``parent[p]``; empty when there is none."""
-        return tuple(self.chain(self.parent[p])) if self.fed_root(p) >= 0 else ()
 
     @cached_property
     def root_cycle(self) -> dict[int, int]:

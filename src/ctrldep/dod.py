@@ -1,7 +1,7 @@
 """Decisive order dependence.
 
 ``dod_segments`` takes each predicate p whose all-paths set is p feeding
-one root cycle of the all-paths pointers (``VpMap.fed_cycle``), classifies
+one root cycle of the all-paths pointers (``VpMap.fed_root``), classifies
 the cycle nodes by which branch of p reaches them first, and reads off the
 two class-crossing cycle segments.  ``dod_new`` emits every pair drawn
 across them; the strong closure reads the segments of only the cycles it
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator
 
-from .cfg import Cfg, bit_indices, first_hits, predicate_indices, reach
+from .cfg import Cfg, bit_indices, first_hits, node_indices, predicate_indices, reach
 from .coloring import VpMap, vp_sets
 from .ntscd import NtscdRelation, ntscd_from_vp
 
@@ -71,7 +71,7 @@ def build_ap(g: Cfg, p: str, vp_of_p: Iterable[str]) -> ProjectionGraph:
 
     Built by one first-hit search per member, from its successors.
     """
-    vp_idx = {g.index[x] for x in vp_of_p}
+    vp_idx = set(node_indices(g, vp_of_p))
     labels = g.labels
     succ: dict[str, tuple[str, ...]] = {}
     for v in sorted(vp_idx, key=lambda i: labels[i]):
@@ -84,11 +84,11 @@ def compute_v1_v2(g: Cfg, p: str, vp_of_p: Iterable[str]) -> SuccessorClasses:
     """Classify members by which successor of ``p`` first reaches them via
     nodes outside the set.  A successor that is itself a member is its own
     (only) first hit."""
-    pi = g.index[p]
+    pi = node_indices(g, (p,))[0]
     targets = g.succs[pi]
     if len(targets) != 2 or targets[0] == targets[1]:
         raise ValueError(f"{p!r} is not a predicate")
-    vp_idx = {g.index[x] for x in vp_of_p}
+    vp_idx = set(node_indices(g, vp_of_p))
     labels = g.labels
     v1 = frozenset(labels[h] for h in first_hits(g, (targets[0],), vp_idx))
     v2 = frozenset(labels[h] for h in first_hits(g, (targets[1],), vp_idx))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Sequence
 
-from .cfg import Cfg, bit_indices, predicate_indices
+from .cfg import Cfg, bit_indices, node_indices, predicate_indices
 from .coloring import Coloring, VpMap
 
 NtscdRelation = frozenset[tuple[str, str]]
@@ -44,26 +44,10 @@ def ntscd_controllers(g: Cfg) -> Callable[[int], list[int]]:
     backward; every predicate with one member successor and one non-member
     successor controls n.  O(|E|) per call."""
     eng = Coloring(g)
-    stamp = eng._stamp
-    red = eng._red
-    branch: list[tuple[int, ...] | None] = [None] * len(g.labels)
-    for p in predicate_indices(g):
-        branch[p] = g.succs[p]
 
     def controllers(target: int) -> list[int]:
         eng.run((target,))
-        gen = eng._gen
-        out = []
-        # Any predicate with a red successor had its counter touched, so
-        # scanning the touched list sees every candidate (including the
-        # target itself, which is touched as a seed).
-        for m in eng.last_touched:
-            b = branch[m]
-            if b is not None:
-                s1, s2 = b
-                if bool(stamp[s1] == gen and red[s1]) != bool(stamp[s2] == gen and red[s2]):
-                    out.append(m)
-        return out
+        return eng.split_predicates()
 
     return controllers
 
@@ -149,10 +133,10 @@ def _run_ranganath(g: Cfg, policy: WorklistPolicy) -> BitTable:
     elif isinstance(policy, str):
         raise ValueError(f"unknown worklist policy {policy!r}")
     else:
-        unknown = [lab for lab in policy if lab not in g.index]
-        if unknown:
-            raise ValueError(f"explicit order names unknown node {unknown[0]!r}")
-        order = [g.index[lab] for lab in policy]
+        try:
+            order = node_indices(g, policy)
+        except ValueError as exc:
+            raise ValueError(f"explicit order names {exc}") from None
         sbag: set[int] = set()
         push = sbag.add
         bag = sbag  # type: ignore[assignment]

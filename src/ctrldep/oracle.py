@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .cfg import Cfg, predicate_indices
+from .cfg import Cfg, node_indices, predicate_indices
 
 ORACLE_MAX_NODES = 64
 MIN_CLOSURE_MAX_NODES = 10
@@ -87,7 +87,7 @@ def _exists_maximal_avoiding_set(g: Cfg, m: int, avoided: frozenset[int]) -> boo
 def oracle_exists_maximal_avoiding(g: Cfg, m: str, n: str) -> bool:
     """Is there a maximal path from ``m`` that does not contain ``n``?"""
     _check_budget(g, ORACLE_MAX_NODES)
-    mi, ni = g.index[m], g.index[n]
+    mi, ni = node_indices(g, (m, n))
     return _exists_maximal_avoiding_set(g, mi, frozenset((ni,)))
 
 
@@ -123,7 +123,7 @@ def oracle_first_before(g: Cfg, s: str, a: str, b: str) -> bool:
     if a == b:
         raise ValueError("'a' and 'b' must differ")
     _check_budget(g, ORACLE_MAX_NODES)
-    si, ai, bi = g.index[s], g.index[a], g.index[b]
+    si, ai, bi = node_indices(g, (s, a, b))
     return _first_before(g, si, ai, bi)
 
 
@@ -223,7 +223,7 @@ def oracle_min_closure(g: Cfg, w: Iterable[str]) -> MinClosureResult:
     """Smallest strongly control-closed superset of ``w`` by enumeration."""
     _check_budget(g, MIN_CLOSURE_MAX_NODES)
     n = len(g.labels)
-    base = frozenset(g.index[x] for x in w)
+    base = frozenset(node_indices(g, w))
     free = sorted(set(range(n)) - base)
     reach_masks = []
     for v in range(n):

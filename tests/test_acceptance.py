@@ -15,22 +15,21 @@ from ctrldep import (
     dod_formula,
     dod_new,
     is_strongly_control_closed,
-    ntscd_from_vp,
     ntscd_new,
     ntscd_ranganath,
     ntscd_ranganath_fixed,
-    ntscd_ranganath_with_table,
     oracle_dod,
     oracle_min_closure,
     oracle_ntscd,
     random_cfg,
     random_reducible_cfg,
-    reachable_set,
     strong_closure,
-    vp_sets,
     worst_case_dod_cfg,
 )
+from ctrldep.cfg import reach
 from ctrldep.cli import differential_failures, time_algorithm
+from ctrldep.coloring import vp_sets
+from ctrldep.ntscd import ntscd_from_vp, ntscd_ranganath_with_table
 
 from conftest import diamond_ladder
 
@@ -165,8 +164,7 @@ def _closure_instances(count: int, seed: int):
         n = rng.randint(3, 12)
         m = rng.randint(n, 2 * n)
         g = random_cfg(n, m, rng.getrandbits(32))
-        all_nodes = set(g.labels)
-        start = next((lab for lab in g.labels if reachable_set(g, lab) == all_nodes), None)
+        start = next((lab for i, lab in enumerate(g.labels) if len(reach(g.succs, (i,))) == len(g)), None)
         if start is None:
             continue
         others = [lab for lab in g.labels if lab != start]

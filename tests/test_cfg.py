@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrldep import (
-    Cfg,
-    ParseError,
-    parse_cfg,
-    predicates,
-    random_cfg,
-    reachable_set,
-    serialize_cfg,
-)
+from ctrldep import Cfg, ParseError, parse_cfg, predicates, random_cfg, serialize_cfg
+from ctrldep.cfg import reach
 
 from conftest import small_cfgs
 
@@ -91,9 +84,10 @@ def test_duplicated_target_is_not_a_predicate():
 
 
 def test_reachable_set(fig3, fig4):
-    assert reachable_set(fig3, "5") == {"5", "6"}
-    assert reachable_set(Cfg(["a"], []), "a") == {"a"}
-    assert reachable_set(fig4, "b") == {"b", "c"}
+    assert reach(fig3.succs, (fig3.index["5"],)) == {fig3.index["5"], fig3.index["6"]}
+    assert reach(Cfg(["a"], []).succs, (0,)) == {0}
+    assert reach(fig4.succs, (fig4.index["b"],)) == {fig4.index["b"], fig4.index["c"]}
+    assert reach(fig4.preds, (fig4.index["b"],), avoid=(fig4.index["c"],)) == {fig4.index["a"], fig4.index["b"]}
 
 
 def test_cfg_rejects_bad_construction():

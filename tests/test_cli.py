@@ -20,7 +20,6 @@ from ctrldep import (
     cli,
     dod_formula,
     dod_new,
-    ntscd_from_vp,
     ntscd_new,
     ntscd_ranganath,
     ntscd_ranganath_fixed,
@@ -29,10 +28,11 @@ from ctrldep import (
     random_reducible_cfg,
     serialize_cfg,
     strong_closure,
-    vp_sets,
     worst_case_dod_cfg,
 )
+from ctrldep.coloring import vp_sets
 from ctrldep.generate import MAX_NODES, MAX_REDUCIBLE_DEPTH
+from ctrldep.ntscd import ntscd_from_vp
 
 from conftest import fed_cycle_cfg, small_cfgs
 
@@ -333,6 +333,58 @@ def test_gate_names_a_wrong_gated_variant(algo, fig7, tmp_path, capsys, monkeypa
     assert parse_cfg(fail_out.read_text()) == fig7
 
 
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_check_reports_a_raising_gated_variant(error, fig7, tmp_path, capsys, monkeypatch):
+    def boom(g, o):
+        raise error("boom")
+
+    monkeypatch.setitem(cli.ALGORITHMS, "dod-new", replace(cli.ALGORITHMS["dod-new"], run=boom))
+    monkeypatch.delenv("CTRLDEP_THREADS", raising=False)
+    failure = f"dod-new raised {error.__name__}: boom"
+    assert cli.differential_failures(fig7) == [failure]
+    path = tmp_path / "fig7.json"
+    path.write_text(serialize_cfg(fig7))
+    fail_out = tmp_path / "mismatch.json"
+    for argv in (["--input", str(path)], ["--count", "3", "--max-nodes", "6"]):
+        fail_out.unlink(missing_ok=True)
+        assert cli.main(["check", *argv, "--fail-out", str(fail_out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "  " + failure in lines
+        assert "  dod-new:".ljust(22) + f"raised {error.__name__}: boom" in lines  # in place of its relation
+        assert f"replay: ctrldep check --input {fail_out}" in lines
+        parse_cfg(fail_out.read_text())
+    # An oracle over its budget is still a flag error, not a mismatch.
+    path.write_text(serialize_cfg(worst_case_dod_cfg(68)))
+    assert cli.main(["check", "--input", str(path), "--fail-out", str(fail_out)]) == 2
+
+
+def test_check_pool_is_capped_by_cores_and_graphs(tmp_path, monkeypatch):
+    # A fork pool starts all of its workers at the first submit, so record
+    # the size asked for and run the graphs in this process.
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.chdir(tmp_path)
+    for threads, count in (("5000", "1"), ("5000", "3"), ("5000", "10"), ("0", "10"), ("2", "10")):
+        monkeypatch.setenv("CTRLDEP_THREADS", threads)
+        assert cli.main(["check", "--count", count, "--max-nodes", "5"]) == 0
+    assert sizes == [3, 4, 4, 2]
+
+
 def test_gate_ignores_a_wrong_ntscd_rang(fig7, monkeypatch):
     wrong = replace(cli.ALGORITHMS["ntscd-rang"], run=lambda g, o: frozenset())
     monkeypatch.setitem(cli.ALGORITHMS, "ntscd-rang", wrong)
@@ -389,7 +441,7 @@ def test_gated_relations_ignore_node_and_edge_order(g, data):
     rename = dict(zip(g.labels, fresh))
     edges = []
     for a in order:
-        succs = g.successors(a)
+        succs = [g.labels[t] for t in g.succs[g.index[a]]]
         edges += [(a, b) for b in (succs[::-1] if a in swapped else succs)]
     h = Cfg(order, edges)
     renamed = Cfg([rename[a] for a in order], [(rename[a], rename[b]) for a, b in edges])

@@ -13,15 +13,14 @@ from ctrldep import (
     Cfg,
     ClosureSpec,
     ClosureSpecError,
-    dependence_closure,
-    dod_and_ntscd,
     is_strongly_control_closed,
     oracle_min_closure,
-    reachable_set,
     strong_closure,
-    theta,
     worst_case_dod_cfg,
 )
+from ctrldep.cfg import reach
+from ctrldep.closures import dependence_closure, theta
+from ctrldep.dod import dod_and_ntscd
 
 from conftest import FIG3_NTSCD, fed_cycle_corpus, small_cfgs
 
@@ -53,7 +52,8 @@ def test_theta_properties(g, data):
     for v in outside:
         th = theta(g, v, vset)
         assert th <= vset
-        assert (len(th) == 0) == (not (reachable_set(g, v) & vset))
+        reached = {g.labels[i] for i in reach(g.succs, (g.index[v],))}
+        assert (len(th) == 0) == (not (reached & vset))
 
 
 def test_is_closed_whole_graph(fig4):
@@ -153,7 +153,7 @@ def behind_dispatch(g: Cfg) -> tuple[Cfg, str]:
     for lab in g.labels:
         if lab not in covered:
             targets.append(lab)
-            covered |= reachable_set(g, lab)
+            covered |= {g.labels[i] for i in reach(g.succs, (g.index[lab],))}
     if targets == list(g.labels[:1]):
         return g, targets[0]
     chain = [f"d{i}" for i in range(len(targets))]

@@ -10,15 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrldep import (
-    Cfg,
-    oracle_exists_maximal_avoiding,
-    random_cfg,
-    random_reducible_cfg,
-    vp_sets,
-    worst_case_dod_cfg,
-)
-from ctrldep.coloring import Coloring
+from ctrldep import Cfg, random_cfg, random_reducible_cfg, worst_case_dod_cfg
+from ctrldep.coloring import Coloring, vp_sets
+from ctrldep.oracle import oracle_exists_maximal_avoiding
 
 from conftest import diamond_ladder, small_cfgs
 
@@ -110,17 +104,17 @@ def test_vp_sets_branches_that_rejoin_at_the_predicate():
 def test_fed_cycle_reads_the_root_cycle_a_predicate_feeds(fig7):
     vp = vp_sets(fig7)
     p = fig7.index["p"]
-    cycle = [fig7.labels[i] for i in vp.fed_cycle(p)]
-    assert cycle[0] == fig7.labels[vp.parent[p]]
+    cycle = [fig7.labels[i] for i in vp.chain(vp.parent[p])]
+    assert vp.fed_root(p) == min(fig7.index[a] for a in cycle)
     assert set(cycle) == vp["p"] - {"p"}
     assert all(vp.parent[fig7.index[a]] == fig7.index[b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-    assert vp.fed_cycle(fig7.index["n3"]) == ()
+    assert vp.fed_root(fig7.index["n3"]) == -1
     # c0 lies on the cycle its parent is on, three nodes long, so the O(1)
     # test passes it and the cycle lookup refuses it.
     g = Cfg(["c0", "c1", "c2", "c3"], [("c0", "c1"), ("c0", "c2"), ("c1", "c2"), ("c2", "c3"), ("c3", "c0")])
     vp = vp_sets(g)
     assert vp.parent == [2, 2, 3, 0]
-    assert vp.fed_cycle(0) == ()
+    assert vp.fed_root(0) == -1
 
 
 @settings(max_examples=80, deadline=None)

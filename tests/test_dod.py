@@ -10,24 +10,27 @@ from hypothesis import strategies as st
 
 from ctrldep import (
     Cfg,
-    SuccessorClasses,
-    build_ap,
-    compute_v1_v2,
-    dod_and_ntscd,
     dod_formula,
     dod_new,
-    extract_segments,
-    match_unfolding_pattern,
     ntscd_new,
     oracle_dod,
     predicates,
     random_cfg,
     random_reducible_cfg,
-    unfold_cycle,
-    vp_sets,
     worst_case_dod_cfg,
 )
-from ctrldep.dod import ProjectionGraph, ProjectionStructureError
+from ctrldep.coloring import vp_sets
+from ctrldep.dod import (
+    ProjectionGraph,
+    ProjectionStructureError,
+    SuccessorClasses,
+    build_ap,
+    compute_v1_v2,
+    dod_and_ntscd,
+    extract_segments,
+    match_unfolding_pattern,
+    unfold_cycle,
+)
 
 from conftest import fed_cycle_corpus, small_cfgs
 
@@ -256,9 +259,9 @@ def test_staged_reference_and_the_pointer_cycle_agree():
     for g in graphs:
         vp = vp_sets(g)
         for p in predicates(g):
-            cycle = tuple(g.labels[i] for i in vp.fed_cycle(g.index[p]))
-            if not cycle:
+            if vp.fed_root(g.index[p]) < 0:
                 continue
+            cycle = tuple(g.labels[i] for i in vp.chain(vp.parent[g.index[p]]))
             members = vp[p]
             assert members == {p, *cycle}
             ap = build_ap(g, p, members)

@@ -79,7 +79,7 @@ def test_worst_case_structure():
     assert len(predicates(g)) == 4
     # every predicate branches to the two opposite cycle nodes
     for p in sorted(predicates(g)):
-        assert g.successors(p) == ("c0", "c2")
+        assert [g.labels[t] for t in g.succs[g.index[p]]] == ["c0", "c2"]
     assert oracle_dod(g) == dod_new(g)
     assert len(dod_new(g)) == 16
 

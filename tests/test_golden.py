@@ -17,15 +17,17 @@ from ctrldep import (
     ClosureSpecError,
     dod_formula,
     dod_new,
-    ntscd_from_vp,
     ntscd_ranganath,
-    ntscd_ranganath_fixed_with_table,
-    ntscd_ranganath_with_table,
     random_cfg,
     random_reducible_cfg,
     strong_closure,
-    vp_sets,
     worst_case_dod_cfg,
+)
+from ctrldep.coloring import vp_sets
+from ctrldep.ntscd import (
+    ntscd_from_vp,
+    ntscd_ranganath_fixed_with_table,
+    ntscd_ranganath_with_table,
 )
 
 from conftest import fed_cycle_corpus

@@ -7,19 +7,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from ctrldep import (
-    Cfg,
+from ctrldep import Cfg, ntscd_new, ntscd_ranganath, ntscd_ranganath_fixed, oracle_ntscd, random_cfg
+from ctrldep.coloring import vp_sets
+from ctrldep.ntscd import (
     ntscd_from_vp,
-    ntscd_new,
-    ntscd_ranganath,
-    ntscd_ranganath_fixed,
     ntscd_ranganath_fixed_with_table,
     ntscd_ranganath_with_table,
-    oracle_exists_maximal_avoiding,
-    oracle_ntscd,
-    random_cfg,
-    vp_sets,
 )
+from ctrldep.oracle import oracle_exists_maximal_avoiding
 
 from conftest import FIG1_NTSCD, FIG3_NTSCD, FIG3_NTSCD_FIFO, small_cfgs
 

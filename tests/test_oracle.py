@@ -11,13 +11,12 @@ from ctrldep import (
     BudgetError,
     Cfg,
     oracle_dod,
-    oracle_exists_maximal_avoiding,
-    oracle_first_before,
     oracle_min_closure,
     oracle_ntscd,
     random_cfg,
     worst_case_dod_cfg,
 )
+from ctrldep.oracle import oracle_exists_maximal_avoiding, oracle_first_before
 
 from conftest import FIG3_NTSCD
 

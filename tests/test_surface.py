@@ -1,0 +1,117 @@
+"""The public surface: what the package root exports, that the README
+documents it, that modules keep each other's internals private, and that
+every entry point taking node labels rejects an unknown one cleanly."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import ctrldep
+from ctrldep import (
+    ClosureSpec,
+    is_strongly_control_closed,
+    ntscd_ranganath,
+    oracle_min_closure,
+    strong_closure,
+)
+from ctrldep.closures import dependence_closure, theta
+from ctrldep.dod import build_ap, compute_v1_v2
+from ctrldep.oracle import oracle_exists_maximal_avoiding, oracle_first_before
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPORTS = [
+    "BudgetError",
+    "Cfg",
+    "ClosureSpec",
+    "ClosureSpecError",
+    "ClosureVerdict",
+    "DodRelation",
+    "MinClosureResult",
+    "NtscdRelation",
+    "ParseError",
+    "dod_formula",
+    "dod_new",
+    "is_strongly_control_closed",
+    "ntscd_new",
+    "ntscd_ranganath",
+    "ntscd_ranganath_fixed",
+    "oracle_dod",
+    "oracle_min_closure",
+    "oracle_ntscd",
+    "parse_cfg",
+    "predicates",
+    "random_cfg",
+    "random_reducible_cfg",
+    "serialize_cfg",
+    "strong_closure",
+    "worst_case_dod_cfg",
+]
+
+
+def test_root_exports_the_user_api():
+    assert sorted(ctrldep.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(ctrldep, name) is not None, name
+
+
+def test_readme_library_section_names_every_export():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_][\w.]*)", library))
+    assert [name for name in EXPORTS if name not in named] == []
+
+
+def _foreign_private_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """Accesses ``x._name`` where x is not ``self`` or ``cls``; dunder names
+    are protocol, not private."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        if node.attr.startswith("__") and node.attr.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        out.append((node.lineno, node.attr))
+    return out
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    found = {}
+    for path in sorted((ROOT / "src" / "ctrldep").glob("*.py")):
+        reads = _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if reads:
+            found[path.name] = reads
+    assert found == {}
+
+
+def test_private_read_scan_sees_a_foreign_read():
+    tree = ast.parse("def f(eng):\n    self._ok = eng.__class__\n    return eng._stamp\n")
+    assert _foreign_private_reads(tree) == [(3, "_stamp")]
+
+
+LABEL_ENTRY_POINTS = {
+    "strong_closure-start": lambda g: strong_closure(g, ClosureSpec(w=frozenset({"a"}), start="zz")),
+    "strong_closure-criterion": lambda g: strong_closure(g, ClosureSpec(w=frozenset({"a", "zz"}), start="a")),
+    "is_strongly_control_closed": lambda g: is_strongly_control_closed(g, {"zz"}),
+    "theta-node": lambda g: theta(g, "zz", {"b"}),
+    "theta-set": lambda g: theta(g, "a", {"zz"}),
+    "dependence_closure": lambda g: dependence_closure(g, {"zz"}, frozenset(), frozenset()),
+    "ntscd_ranganath-order": lambda g: ntscd_ranganath(g, ["a", "zz"]),
+    "build_ap": lambda g: build_ap(g, "a", {"a", "zz"}),
+    "compute_v1_v2": lambda g: compute_v1_v2(g, "zz", {"b"}),
+    "oracle_min_closure": lambda g: oracle_min_closure(g, {"zz"}),
+    "oracle_first_before": lambda g: oracle_first_before(g, "a", "b", "zz"),
+    "oracle_exists_maximal_avoiding": lambda g: oracle_exists_maximal_avoiding(g, "zz", "b"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_label_entry_point_rejects_an_unknown_node(entry, fig4):
+    with pytest.raises(ValueError, match="unknown node 'zz'"):
+        LABEL_ENTRY_POINTS[entry](fig4)
