@@ -24,7 +24,7 @@ from .cfg import Cfg, ParseError, parse_cfg, predicates, serialize_cfg
 from .closures import ClosureSpec, ClosureSpecError, strong_closure
 from .coloring import vp_sets
 from .dod import dod_formula, dod_new
-from .generate import random_cfg, random_reducible_cfg, worst_case_dod_cfg
+from .generate import MAX_NODES, MAX_REDUCIBLE_DEPTH, random_cfg, random_reducible_cfg, worst_case_dod_cfg
 from .ntscd import (
     WorklistPolicy,
     ntscd_from_vp,
@@ -307,10 +307,10 @@ def time_algorithm(fn: Callable[[Cfg], object], g: Cfg, reps: int) -> tuple[floa
     return (sum(timings) / len(timings)) / 1000.0, min(timings) / 1000.0
 
 
-def _parse_sweep(text: str) -> list[int | None]:
-    """Sweep syntax: a plain integer, or 'start..stop:step' (inclusive); an
-    empty flag sweeps the one value None.  Used as an argparse type, so a
-    bad sweep is a usage error that names its flag."""
+def _parse_sweep(text: str) -> Sequence[int | None]:
+    """Sweep syntax: a plain integer, or 'start..stop:step' (inclusive, kept
+    a lazy range); an empty flag sweeps the one value None.  Used as an
+    argparse type, so a bad sweep is a usage error that names its flag."""
     if not text:
         return [None]
     if ".." in text:
@@ -319,7 +319,7 @@ def _parse_sweep(text: str) -> list[int | None]:
         step = int(step_text) if step_text else 1
         if step <= 0:
             raise argparse.ArgumentTypeError("sweep step must be positive")
-        values = list(range(int(start_text), int(stop_text) + 1, step))
+        values = range(int(start_text), int(stop_text) + 1, step)
         if not values:
             raise argparse.ArgumentTypeError(f"range {text!r} sweeps no values")
         return values
@@ -337,6 +337,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown algorithm {a!r}")
         if ALGORITHMS[a].kind == "closure":
             raise ValueError(f"{a} needs a criterion set and a start node, so bench cannot time it; use analyze")
+    # A sweep's largest value comes last; refuse it where its generator would.
+    for flag, sweep, cap, what in (
+        ("--nodes", args.nodes, MAX_NODES, "node count"),
+        ("--edges", args.edges, 2 * MAX_NODES, "edge count"),
+        ("--depth", args.depth, MAX_REDUCIBLE_DEPTH, "depth"),
+    ):
+        if sweep[-1] is not None and sweep[-1] > cap:
+            raise ValueError(f"{flag} {sweep[-1]}: {what} must be at most {cap}")
     cells: list[Cfg] = []
     for n, m, d in product(args.nodes, args.edges, args.depth):
         g = make_graph(args.shape, n, m, d, args.seed)

@@ -9,7 +9,7 @@ nodes are all reachable from a distinguished start node inside the seed,
 it is exactly the minimal strongly control-closed superset.
 
 ``strong_closure`` computes that closure on demand, without either whole
-relation: one backward propagation (``ntscd_controllers``) per node it
+relation: one backward propagation (``Coloring.controllers``) per node it
 takes in, and the DOD segments (``dod_segments``, shared with ``dod_new``)
 of only the root cycles it holds two nodes of.  ``dependence_closure`` over
 the whole relations of ``dod_and_ntscd`` is the reference.
@@ -23,8 +23,8 @@ from typing import Iterable
 
 from .cfg import Cfg, first_hits, node_indices, predicate_indices, reach
 from .coloring import Coloring, vp_sets
-from .dod import DodRelation, dod_and_ntscd, dod_segments  # noqa: F401  (dod_and_ntscd feeds the reference)
-from .ntscd import NtscdRelation, ntscd_controllers
+from .dod import DodRelation, dod_from_vp, dod_segments
+from .ntscd import NtscdRelation, ntscd_from_vp
 
 
 class ClosureSpecError(ValueError):
@@ -82,6 +82,12 @@ def is_strongly_control_closed(g: Cfg, vset: Iterable[str]) -> ClosureVerdict:
         if len(first_hits(g, (v,), inside)) > 1:
             return ClosureVerdict(closed=False, witness=(labels[v], "theta-ambiguous"))
     return ClosureVerdict(closed=True)
+
+
+def dod_and_ntscd(g: Cfg) -> tuple[DodRelation, NtscdRelation]:
+    """Both whole relations, for ``dependence_closure``, from one pointer sweep."""
+    vp = vp_sets(g)
+    return dod_from_vp(g, vp), ntscd_from_vp(g, vp)
 
 
 def dependence_closure(
@@ -144,7 +150,7 @@ def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
             f"{len(missing)} node(s) unreachable from {spec.start!r}, e.g. {min(missing)!r}"
         )
     vp = vp_sets(g)
-    controllers = ntscd_controllers(g)
+    controllers = Coloring(g).controllers
     unread: dict[int, list[int]] = defaultdict(list)  # fed cycle -> its predicates, until read
     for p in predicate_indices(g):
         c = vp.fed_root(p)

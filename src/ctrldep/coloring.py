@@ -5,7 +5,7 @@ result once all of its out-edges lead to members (and it has at least one
 out-edge).  Each node keeps a countdown of not-yet-member successors, so
 every edge is inspected at most once per run.  Scratch state is
 generation-stamped rather than cleared, which keeps repeated runs over the
-same graph cheap; ``ntscd_new`` runs one propagation per node.
+same graph cheap; ``ntscd_new`` runs ``controllers`` once per node.
 ``vp_sets`` instead finds the all-paths sets as one parent pointer per node.
 
 Propagation uses an explicit stack, never recursion, so deep graphs are
@@ -38,16 +38,15 @@ class Coloring:
         self._red = bytearray(n)
         self._counter = [0] * n
         self._gen = 0
-        self.last_red: list[int] = []
-        self.last_touched: list[int] = []
+        self._last_red: list[int] = []
+        self._last_touched: list[int] = []
 
     def run(self, targets: Iterable[int]) -> list[int]:
         """Propagate from ``targets``; returns indices of all member nodes.
 
         A member ("red") node is one from which every maximal path hits the
-        target set.  ``last_touched`` afterwards holds every node whose
-        scratch state was initialized in this run; any node with a red
-        successor is in it.
+        target set.  Every node with a red successor has its scratch state
+        initialized in the run, and is recorded as touched.
         """
         self._gen += 1
         gen = self._gen
@@ -80,22 +79,22 @@ class Coloring:
                     red[m] = 1
                     red_list.append(m)
                     stack.append(m)
-        self.last_red = red_list
-        self.last_touched = touched
+        self._last_red = red_list
+        self._last_touched = touched
         return red_list
 
-    def split_predicates(self) -> list[int]:
-        """Predicates with exactly one red successor after the last run; for
-        a one-node target, the predicates that NTSCD-control it.  Any node
-        with a red successor had its counter touched, so scanning
-        ``last_touched`` sees every candidate (the seeds included); a node
-        whose two edges share a target never has exactly one."""
+    def controllers(self, target: int) -> list[int]:
+        """The predicates that NTSCD-control ``target``: one propagation
+        from it, then every predicate with exactly one red successor.  The
+        touched nodes include every candidate (the target too); a node
+        whose two edges share a target never has exactly one.  O(|E|)."""
+        self.run((target,))
         gen = self._gen
         stamp = self._stamp
         red = self._red
         succs = self.g.succs
         out = []
-        for m in self.last_touched:
+        for m in self._last_touched:
             ss = succs[m]
             if len(ss) == 2:
                 s1, s2 = ss
@@ -110,7 +109,7 @@ class Coloring:
         other edges are inspected.
         """
         preds = self.g.preds
-        return sum(len(preds[s]) for s in self.last_red)
+        return sum(len(preds[s]) for s in self._last_red)
 
 
 @dataclass

@@ -3,12 +3,12 @@
 ``dod_segments`` takes each predicate p whose all-paths set is p feeding
 one root cycle of the all-paths pointers (``VpMap.fed_root``), classifies
 the cycle nodes by which branch of p reaches them first, and reads off the
-two class-crossing cycle segments.  ``dod_new`` emits every pair drawn
-across them; the strong closure reads the segments of only the cycles it
-holds two nodes of.  ``build_ap``, ``compute_v1_v2``, ``unfold_cycle``,
-``match_unfolding_pattern`` and ``extract_segments`` are the staged
-reference, on labels: they project the graph onto the all-paths set and
-unfold the cycle the projection forms.
+two class-crossing cycle segments.  ``dod_from_vp``, behind ``dod_new``,
+emits every pair drawn across them; the strong closure reads the segments
+of only the cycles it holds two nodes of.  ``build_ap``, ``compute_v1_v2``,
+``unfold_cycle``, ``match_unfolding_pattern`` and ``extract_segments`` are
+the staged reference, on labels: they project the graph onto the all-paths
+set and unfold the cycle the projection forms.
 
 ``dod_formula`` is the classic pairwise formula, in its original form
 (plain reachability, known to over-approximate) and the repaired form
@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 
 from .cfg import Cfg, bit_indices, first_hits, node_indices, predicate_indices, reach
 from .coloring import VpMap, vp_sets
-from .ntscd import NtscdRelation, ntscd_from_vp
 
 DodRelation = frozenset[tuple[str, str, str]]
 
@@ -180,7 +179,7 @@ def dod_new(g: Cfg) -> DodRelation:
     """Pointer-cycle DOD, output-optimal: O(|V|^2) per pointer sweep, then
     ``dod_segments`` over every predicate and the pairs drawn across each
     predicate's two segments."""
-    return _dod_from_vp(g, vp_sets(g))
+    return dod_from_vp(g, vp_sets(g))
 
 
 def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
@@ -220,7 +219,8 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
         yield p, into[2], into[1]
 
 
-def _dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
+def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
+    """DOD from the all-paths pointers: the pairs across each predicate's segments."""
     labels = g.labels
     out: set[tuple[str, str, str]] = set()
     for p, m_segment, o_segment in dod_segments(g, vp, predicate_indices(g)):
@@ -230,12 +230,6 @@ def _dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
             x = labels[a]
             out.update((p_lab, x, y) if x < y else (p_lab, y, x) for y in others)
     return frozenset(out)
-
-
-def dod_and_ntscd(g: Cfg) -> tuple[DodRelation, NtscdRelation]:
-    """Both relations from a single path-set computation."""
-    vp = vp_sets(g)
-    return _dod_from_vp(g, vp), ntscd_from_vp(g, vp)
 
 
 def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:

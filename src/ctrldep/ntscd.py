@@ -1,19 +1,19 @@
 """Non-termination sensitive control dependence, four ways.
 
-``ntscd_new`` runs one backward propagation per node and reads the
-dependencies off predicate successors; ``ntscd_controllers`` is that step
-for one node, and the strong closure runs it only for the nodes it takes
-in.  ``ntscd_from_vp`` derives the same relation from the all-paths sets of
-``vp_sets``.  ``ntscd_ranganath`` is a faithful transcription of the
-classic forward worklist algorithm, which is sensitive to the order nodes
-are popped and can produce wrong results; ``ntscd_ranganath_fixed`` repairs
-it by iterating the loop body over all nodes to a fixpoint.
+``ntscd_new`` runs ``Coloring.controllers``, one backward propagation
+read off at the predicate successors, for every node; the strong closure
+runs it only for the nodes it takes in.  ``ntscd_from_vp`` derives the same
+relation from the all-paths sets of ``vp_sets``.  ``ntscd_ranganath`` is a
+faithful transcription of the classic forward worklist algorithm, which is
+sensitive to the order nodes are popped and can produce wrong results;
+``ntscd_ranganath_fixed`` repairs it by iterating the loop body over all
+nodes to a fixpoint.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cfg import Cfg, bit_indices, node_indices, predicate_indices
 from .coloring import Coloring, VpMap
@@ -30,26 +30,12 @@ WorklistPolicy = str | Sequence[str]
 def ntscd_new(g: Cfg) -> NtscdRelation:
     """Backward-propagation NTSCD; O(|V|^2) and order-independent.
 
-    For each node n, the predicates ``ntscd_controllers`` finds for n
+    For each node n, the predicates ``Coloring.controllers`` finds for n
     control it.
     """
     labels = g.labels
-    controllers = ntscd_controllers(g)
+    controllers = Coloring(g).controllers
     return frozenset((labels[p], labels[t]) for t in range(len(labels)) for p in controllers(t))
-
-
-def ntscd_controllers(g: Cfg) -> Callable[[int], list[int]]:
-    """The NTSCD controllers of one node at a time, as a function of its
-    index.  For a target n it propagates "every maximal path hits n"
-    backward; every predicate with one member successor and one non-member
-    successor controls n.  O(|E|) per call."""
-    eng = Coloring(g)
-
-    def controllers(target: int) -> list[int]:
-        eng.run((target,))
-        return eng.split_predicates()
-
-    return controllers
 
 
 def ntscd_from_vp(g: Cfg, vp: VpMap) -> NtscdRelation:

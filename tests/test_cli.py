@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -53,14 +54,22 @@ def cli_env(**extra: str) -> dict[str, str]:
     return env
 
 
-def run_cli(*argv: str, cwd=None, env=None):
+def run_cli(*argv: str, cwd=None, env=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "ctrldep.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env or cli_env(),
+        preexec_fn=preexec_fn,
     )
+
+
+def cap_address_space() -> None:
+    """Run in the child before the CLI starts: 1.5 GB of address space is
+    room for the interpreter, not for a list of a long sweep's values, so a
+    sweep built eagerly ends in MemoryError instead of exhausting memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
 
 @pytest.fixture
@@ -517,28 +526,42 @@ def test_bench_empty_sweep_exit_2(flag, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "bench"])
-def test_reducible_depth_above_the_cap_exit_2(command, tmp_path):
+# (command, flag value, the value the error names): gen takes one value,
+# bench also a range, which is refused by its largest value.
+DEPTHS_ABOVE_THE_CAP = [
+    pytest.param("gen", str(MAX_REDUCIBLE_DEPTH + 1), MAX_REDUCIBLE_DEPTH + 1, id="gen"),
+    pytest.param("bench", str(MAX_REDUCIBLE_DEPTH + 1), MAX_REDUCIBLE_DEPTH + 1, id="bench"),
+    pytest.param("bench", "0..40:4", 40, id="bench-range"),
+    pytest.param("bench", "1..3000000000", 3000000000, id="bench-long-range"),
+]
+NODES_ABOVE_THE_CAP = [
+    pytest.param("gen", str(MAX_NODES + 1), MAX_NODES + 1, id="gen"),
+    pytest.param("bench", str(MAX_NODES + 1), MAX_NODES + 1, id="bench"),
+    pytest.param("bench", "8..3000000000:1000000000", 2000000008, id="bench-range"),
+    pytest.param("bench", "8..3000000000:4", 3000000000, id="bench-long-range"),
+]
+
+
+@pytest.mark.parametrize("command, depth, largest", DEPTHS_ABOVE_THE_CAP)
+def test_reducible_depth_above_the_cap_exit_2(command, depth, largest, tmp_path):
     # Each level roughly doubles the graph, so a depth above the cap is
     # refused before any graph is built or any file written.
     out = tmp_path / "out"
-    depth = str(MAX_REDUCIBLE_DEPTH + 1)
     argv = ["--shape", "reducible", "--depth", depth]
     argv += ["--output", str(out)] if command == "gen" else ["--algos", "dod-new", "--csv", str(out)]
-    proc = run_cli(command, *argv)
+    proc = run_cli(command, *argv, preexec_fn=cap_address_space)
     assert proc.returncode == 2, proc.stderr
-    assert f"--depth {depth}: depth must be at most {MAX_REDUCIBLE_DEPTH}" in proc.stderr
+    assert f"--depth {largest}: depth must be at most {MAX_REDUCIBLE_DEPTH}" in proc.stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("shape", ["random", "dod-worst"])
-@pytest.mark.parametrize("command", ["gen", "bench"])
-def test_nodes_above_the_cap_exit_2(command, shape, tmp_path):
+@pytest.mark.parametrize("command, nodes, largest", NODES_ABOVE_THE_CAP)
+def test_nodes_above_the_cap_exit_2(command, nodes, largest, shape, tmp_path):
     out = tmp_path / "out"
-    nodes = str(MAX_NODES + 1)
     argv = ["--shape", shape, "--nodes", nodes, "--edges", "5"]
     argv += ["--output", str(out)] if command == "gen" else ["--algos", "dod-new", "--csv", str(out)]
-    proc = run_cli(command, *argv)
+    proc = run_cli(command, *argv, preexec_fn=cap_address_space)
     assert proc.returncode == 2, proc.stderr
-    assert f"error: --nodes {nodes}: node count must be at most {MAX_NODES}" in proc.stderr
+    assert f"error: --nodes {largest}: node count must be at most {MAX_NODES}" in proc.stderr
     assert not out.exists()

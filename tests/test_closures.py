@@ -19,8 +19,7 @@ from ctrldep import (
     worst_case_dod_cfg,
 )
 from ctrldep.cfg import reach
-from ctrldep.closures import dependence_closure, theta
-from ctrldep.dod import dod_and_ntscd
+from ctrldep.closures import dependence_closure, dod_and_ntscd, theta
 
 from conftest import FIG3_NTSCD, fed_cycle_corpus, small_cfgs
 
@@ -202,8 +201,9 @@ def test_strong_closure_builds_neither_whole_relation(fig7, monkeypatch):
     for module, name in [
         (ctrldep.closures, "dod_and_ntscd"),
         (ctrldep.closures, "dependence_closure"),
-        (ctrldep.dod, "dod_and_ntscd"),
-        (ctrldep.dod, "ntscd_from_vp"),
+        (ctrldep.closures, "dod_from_vp"),
+        (ctrldep.closures, "ntscd_from_vp"),
+        (ctrldep.dod, "dod_from_vp"),
         (ctrldep.ntscd, "ntscd_from_vp"),
     ]:
         monkeypatch.setattr(module, name, refuse)

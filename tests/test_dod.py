@@ -19,6 +19,7 @@ from ctrldep import (
     random_reducible_cfg,
     worst_case_dod_cfg,
 )
+from ctrldep.closures import dod_and_ntscd
 from ctrldep.coloring import vp_sets
 from ctrldep.dod import (
     ProjectionGraph,
@@ -26,7 +27,6 @@ from ctrldep.dod import (
     SuccessorClasses,
     build_ap,
     compute_v1_v2,
-    dod_and_ntscd,
     extract_segments,
     match_unfolding_pattern,
     unfold_cycle,

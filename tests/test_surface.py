@@ -1,10 +1,12 @@
 """The public surface: what the package root exports, that the README
-documents it, that modules keep each other's internals private, and that
-every entry point taking node labels rejects an unknown one cleanly."""
+documents it and names only what exists, that modules import each other in
+layers and keep each other's internals private, and that every entry point
+taking node labels rejects an unknown one cleanly."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -64,6 +66,47 @@ def test_readme_library_section_names_every_export():
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`([A-Za-z_][\w.]*)", library))
     assert [name for name in EXPORTS if name not in named] == []
+
+
+def test_readme_names_only_what_resolves():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    dotted = sorted(set(re.findall(r"\bctrldep(?:\.[A-Za-z_]\w*)+", readme)))
+    assert len(dotted) >= 17
+    unresolved = []
+    for name in dotted:
+        _, module, *attrs = name.split(".")
+        try:
+            obj = importlib.import_module(f"ctrldep.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert unresolved == []
+
+
+# Each module's ``from .x import`` sources: cfg < coloring < {ntscd, dod} <
+# closures < cli, with oracle and generate on cfg alone.
+LAYERS = {
+    "__init__": {"cfg", "closures", "dod", "generate", "ntscd", "oracle"},
+    "cfg": set(),
+    "cli": {"cfg", "closures", "coloring", "dod", "generate", "ntscd", "oracle"},
+    "closures": {"cfg", "coloring", "dod", "ntscd"},
+    "coloring": {"cfg"},
+    "dod": {"cfg", "coloring"},
+    "generate": {"cfg"},
+    "ntscd": {"cfg", "coloring"},
+    "oracle": {"cfg"},
+}
+
+
+def test_modules_import_each_other_in_layers():
+    found = {}
+    for path in sorted((ROOT / "src" / "ctrldep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    assert found == LAYERS
 
 
 def _foreign_private_reads(tree: ast.AST) -> list[tuple[int, str]]:
