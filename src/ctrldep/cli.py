@@ -15,10 +15,11 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
-from itertools import product
+from itertools import islice, product
 from random import Random
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .cfg import Cfg, ParseError, parse_cfg, predicates, serialize_cfg
 from .closures import ClosureSpec, ClosureSpecError, strong_closure
@@ -145,33 +146,29 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 1
 
 
-def _sized(flag: str, size: int, build, *args) -> Cfg:
-    """``build(*args)``, with a size it rejects reported under ``flag``."""
+# Each shape's generator takes the sizes named here, in this order, then the
+# seed; they are also the ``gen``/``bench`` flags that carry them.
+SHAPES: dict[str, tuple[tuple[str, ...], Callable[..., Cfg]]] = {
+    "random": (("nodes", "edges"), random_cfg),
+    "reducible": (("depth",), random_reducible_cfg),
+    "dod-worst": (("nodes",), lambda nodes, seed: worst_case_dod_cfg(nodes)),
+}
+
+
+def make_graph(shape: str, sizes: Sequence[int | None], seed: int) -> Cfg:
+    """One graph of a ``gen``/``bench`` shape from the sizes it reads, in
+    ``SHAPES`` order; a size it rejects is reported under the first flag."""
+    names, build = SHAPES[shape]
+    if None in sizes:
+        raise ValueError(f"--shape {shape} requires " + " and ".join(f"--{name}" for name in names))
     try:
-        return build(*args)
+        return build(*sizes, seed)
     except ValueError as exc:
-        raise ValueError(f"{flag} {size}: {exc}") from None
-
-
-def make_graph(shape: str, nodes: int | None, edges: int | None, depth: int | None, seed: int) -> Cfg:
-    """One graph of a ``gen``/``bench`` shape; sizes the shape does not read are ignored."""
-    if shape == "random":
-        if nodes is None or edges is None:
-            raise ValueError("--shape random requires --nodes and --edges")
-        return _sized("--nodes", nodes, random_cfg, nodes, edges, seed)
-    if shape == "reducible":
-        if depth is None:
-            raise ValueError("--shape reducible requires --depth")
-        return _sized("--depth", depth, random_reducible_cfg, depth, seed)
-    if shape == "dod-worst":
-        if nodes is None:
-            raise ValueError("--shape dod-worst requires --nodes")
-        return _sized("--nodes", nodes, worst_case_dod_cfg, nodes)
-    raise ValueError(f"unknown shape {shape!r}")
+        raise ValueError(f"--{names[0]} {sizes[0]}: {exc}") from None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    g = make_graph(args.shape, args.nodes, args.edges, args.depth, args.seed)
+    g = make_graph(args.shape, [getattr(args, name) for name in SHAPES[args.shape][0]], args.seed)
     _write_text(args.output, serialize_cfg(g, args.format))
     return 0
 
@@ -204,15 +201,18 @@ def differential_failures(g: Cfg) -> list[str]:
     return failures
 
 
-def check_cases(count: int, max_nodes: int, seed: int) -> list[tuple[int, int, int]]:
+# check draws and runs its cases this many at a time, so its memory follows
+# the window, not --count, and it stops within one window of a mismatch.
+CHECK_WINDOW = 1024
+
+
+def check_cases(count: int, max_nodes: int, seed: int) -> Iterator[tuple[int, int, int]]:
     """Deterministic (nodes, edges, seed) triples for the differential run."""
     rng = Random(seed)
-    cases = []
     for _ in range(count):
         n = rng.randint(2, max_nodes)
         m = rng.randint(0, 2 * n)
-        cases.append((n, m, rng.getrandbits(32)))
-    return cases
+        yield n, m, rng.getrandbits(32)
 
 
 def _check_one(case: tuple[int, int, int]) -> list[str]:
@@ -251,18 +251,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise BudgetError(f"--max-nodes {args.max_nodes} exceeds the oracle budget of {ORACLE_MAX_NODES}")
     cases = check_cases(args.count, args.max_nodes, args.seed)
     # A fork pool starts all of its workers at the first submit.
-    workers = min(worker_count(), len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_failures = list(pool.map(_check_one, cases, chunksize=max(1, len(cases) // (4 * workers))))
-    else:
-        all_failures = [_check_one(case) for case in cases]
-    for case, failures in zip(cases, all_failures):
-        if failures:
-            g = random_cfg(*case)
-            _dump_mismatch(g, failures, args.fail_out)
-            return 1
-    print(f"ok: {len(cases)} graphs, all algorithm variants agree")
+    workers = min(worker_count(), args.count)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        while window := list(islice(cases, CHECK_WINDOW)):
+            chunksize = max(1, len(window) // (4 * workers))
+            results = pool.map(_check_one, window, chunksize=chunksize) if pool else map(_check_one, window)
+            for case, failures in zip(window, results):
+                if failures:
+                    _dump_mismatch(random_cfg(*case), failures, args.fail_out)
+                    return 1
+    print(f"ok: {args.count} graphs, all algorithm variants agree")
     return 0
 
 
@@ -345,11 +343,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ):
         if sweep[-1] is not None and sweep[-1] > cap:
             raise ValueError(f"{flag} {sweep[-1]}: {what} must be at most {cap}")
-    cells: list[Cfg] = []
-    for n, m, d in product(args.nodes, args.edges, args.depth):
-        g = make_graph(args.shape, n, m, d, args.seed)
-        if g not in cells:  # a shape ignores the sizes it does not read
-            cells.append(g)
+    # Cross only the sweeps the shape reads, so each graph is built once, all before any timing.
+    sweeps = (getattr(args, name) for name in SHAPES[args.shape][0])
+    cells = [make_graph(args.shape, sizes, args.seed) for sizes in product(*sweeps)]
     records = []
     for algo_id in algos:
         run = ALGORITHMS[algo_id].run
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.set_defaults(func=cmd_diff)
 
     gen = sub.add_parser("gen", help="generate a graph")
-    gen.add_argument("--shape", required=True, choices=("random", "reducible", "dod-worst"))
+    gen.add_argument("--shape", required=True, choices=SHAPES)
     gen.add_argument("--nodes", type=int)
     gen.add_argument("--edges", type=int)
     gen.add_argument("--depth", type=int)
@@ -416,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     bench = sub.add_parser("bench", help="timing sweep written as CSV")
-    bench.add_argument("--shape", default="random", choices=("random", "reducible", "dod-worst"))
+    bench.add_argument("--shape", default="random", choices=SHAPES)
     bench.add_argument("--nodes", default="500", type=_parse_sweep, help="int or start..stop:step")
     bench.add_argument("--edges", default="", type=_parse_sweep, help="int or start..stop:step (random shape)")
     bench.add_argument("--depth", default="", type=_parse_sweep, help="int or start..stop:step (reducible shape)")

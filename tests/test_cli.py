@@ -67,8 +67,9 @@ def run_cli(*argv: str, cwd=None, env=None, preexec_fn=None):
 
 def cap_address_space() -> None:
     """Run in the child before the CLI starts: 1.5 GB of address space is
-    room for the interpreter, not for a list of a long sweep's values, so a
-    sweep built eagerly ends in MemoryError instead of exhausting memory."""
+    room for the interpreter, not for a list of a long sweep's values or of
+    ``check``'s cases, so a list built eagerly ends in MemoryError instead
+    of exhausting memory."""
     resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
 
@@ -227,6 +228,120 @@ def test_gen_reducible_dod_empty(tmp_path):
 def test_gen_infeasible_exit_2(tmp_path):
     proc = run_cli("gen", "--shape", "dod-worst", "--nodes", "10", "--output", str(tmp_path / "g.json"))
     assert proc.returncode == 2
+    assert "error: --nodes 10: total node count must be >= 8 and divisible by 4" in proc.stderr
+
+
+# What each shape says when a size it reads is missing.
+REQUIRES = {
+    "random": "--shape random requires --nodes and --edges",
+    "reducible": "--shape reducible requires --depth",
+    "dod-worst": "--shape dod-worst requires --nodes",
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+@pytest.mark.parametrize("shape", list(cli.SHAPES))
+def test_a_shape_names_the_sizes_it_reads(shape, command, tmp_path, capsys):
+    # Every size but the last one the shape reads is given.  bench's --nodes
+    # has a default, so bench gets the missing size as an empty sweep.
+    missing = cli.SHAPES[shape][0][-1]
+    sizes = {"--nodes": "16", "--edges": "5", "--depth": "2"}
+    argv = [command, "--shape", shape]
+    for flag, value in sizes.items():
+        if flag != f"--{missing}":
+            argv += [flag, value]
+        elif command == "bench":
+            argv += [flag, ""]
+    out = tmp_path / "out"
+    argv += ["--output", str(out)] if command == "gen" else ["--algos", "dod-new", "--csv", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {REQUIRES[shape]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_shape_choices_are_the_table(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--shape", "none"])
+    assert exit_info.value.code == 2
+    assert f"(choose from {', '.join(map(repr, cli.SHAPES))})" in capsys.readouterr().err
+
+
+def test_bench_builds_each_graph_once(tmp_path, monkeypatch):
+    # A shape ignores the sizes it does not read, so sweeping them must
+    # neither build a graph again nor add a row.
+    make_graph = cli.make_graph
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_graph(*args)
+
+    monkeypatch.setattr(cli, "make_graph", counted)
+    out = tmp_path / "b.csv"
+
+    def bench(*argv):
+        calls.clear()
+        assert cli.main(["bench", *argv, "--reps", "1", "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            return [row[:6] for row in csv.reader(fh)]  # without mean_us, min_us
+
+    rows = bench("--shape", "dod-worst", "--nodes", "8", "--edges", "0..50", "--algos", "dod-new")
+    assert len(calls) == 1
+    assert rows[1:] == [["dod-new", "dod-worst", "8", "12", "0", "1"]]
+    sweep = ("--shape", "random", "--nodes", "20..30:10", "--edges", "10", "--algos", "ntscd-new,dod-new")
+    rows = bench(*sweep)
+    assert len(calls) == 2 and len(rows) == 1 + 2 * 2
+    assert bench(*sweep, "--depth", "0..5") == rows
+    assert len(calls) == 2
+
+
+WRONG_DOD_NEW = """
+import sys
+from dataclasses import replace
+from ctrldep import cli
+cli.ALGORITHMS["dod-new"] = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: frozenset({("?", "?", "?")}))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_check_holds_no_case_list(threads, tmp_path):
+    # Every graph mismatches, so check must report the first one; listing
+    # 200 million cases first would not fit in the capped address space.
+    # Forked pool workers inherit the wrong row.
+    env = cli_env()
+    env.pop("CTRLDEP_THREADS", None)
+    if threads:
+        env["CTRLDEP_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-c", WRONG_DOD_NEW, "check", "--count", "200000000"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "mismatch (graph written to" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_stops_at_the_first_mismatch(tmp_path, monkeypatch):
+    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: frozenset({("?", "?", "?")}))
+    monkeypatch.setitem(cli.ALGORITHMS, "dod-new", wrong)
+    check_one = cli._check_one
+    calls = []
+
+    def counted(case):
+        calls.append(case)
+        return check_one(case)
+
+    monkeypatch.setattr(cli, "_check_one", counted)
+    monkeypatch.delenv("CTRLDEP_THREADS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check", "--count", "50", "--max-nodes", "6"]) == 1
+    assert len(calls) == 1
 
 
 def test_check_small_run(tmp_path):

@@ -15,11 +15,13 @@ import hashlib
 from ctrldep import (
     ClosureSpec,
     ClosureSpecError,
+    cli,
     dod_formula,
     dod_new,
     ntscd_ranganath,
     random_cfg,
     random_reducible_cfg,
+    serialize_cfg,
     strong_closure,
     worst_case_dod_cfg,
 )
@@ -110,3 +112,30 @@ def test_dod_on_fed_cycles():
     graphs = fed_cycle_corpus() + [worst_case_dod_cfg(n) for n in range(8, 129, 8)]
     assert digest(sorted(dod_new(g)) for g in graphs) == "b112a9b386387126f1d153b8dc04cff9e5bf2403993c5fd6336c32e6cf34e320"
     assert digest(closure(g) for g in graphs) == "43cb525a842152e880bde1b85769845f796200096964e08892aa9e54b83abb3e"
+
+
+def analyze_transcript(g, path, capsys) -> str:
+    """Every id's ``analyze`` stdout on ``g`` without its ``time_us`` line,
+    then its stderr and exit code; ``cc`` closes the first label from the
+    first label."""
+    path.write_text(serialize_cfg(g))
+    out = []
+    for algo in cli.ALGORITHMS:
+        argv = ["analyze", "--input", str(path), "--algo", algo]
+        if algo == "cc":
+            argv += ["--criterion", g.labels[0], "--start", g.labels[0]]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        report = [line for line in captured.out.splitlines() if not line.lstrip().startswith('"time_us"')]
+        out.append((algo, report, captured.err, code))
+    return out
+
+
+def test_analyze_output(fig3, fig4, fig5, fig7, tmp_path, capsys):
+    # The byte-identity gate for the report writer: the exact text analyze
+    # prints, not only the relation it holds.
+    graphs = [fig3, fig4, fig5, fig7, worst_case_dod_cfg(16), worst_case_dod_cfg(32)]
+    graphs += [random_cfg(12, 18, seed) for seed in range(20)]
+    graphs += fed_cycle_corpus()[:20]
+    path = tmp_path / "g.json"
+    assert digest(analyze_transcript(g, path, capsys) for g in graphs) == "f8304c305c2895e73cbb79ae9c2dbe1795bbf3e27d46d2883817581c8da27319"
