@@ -17,21 +17,23 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
-from itertools import islice, product
+from itertools import chain, islice, product
+from json.encoder import encode_basestring_ascii
 from random import Random
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Literal, NamedTuple, Sequence
 
-from .cfg import Cfg, ParseError, parse_cfg, predicates, serialize_cfg
-from .closures import ClosureSpec, ClosureSpecError, strong_closure
+from .cfg import Cfg, ParseError, parse_cfg, predicate_indices, serialize_cfg
+from .closures import ClosureSpec, ClosureSpecError, closure_labels, strong_closure_nodes
 from .coloring import vp_sets
-from .dod import dod_formula, dod_new
+from .dod import dod_formula_rows, dod_from_vp_rows, dod_labels
 from .generate import MAX_NODES, MAX_REDUCIBLE_DEPTH, random_cfg, random_reducible_cfg, worst_case_dod_cfg
 from .ntscd import (
     WorklistPolicy,
-    ntscd_from_vp,
-    ntscd_new,
-    ntscd_ranganath,
-    ntscd_ranganath_fixed,
+    ntscd_from_vp_rows,
+    ntscd_labels,
+    ntscd_new_rows,
+    ntscd_ranganath_fixed_rows,
+    ntscd_ranganath_rows,
 )
 from .oracle import ORACLE_MAX_NODES, BudgetError, oracle_dod, oracle_ntscd
 
@@ -43,29 +45,51 @@ class RunOptions(NamedTuple):
     spec: ClosureSpec | None = None
 
 
+# What check and bench run every id with; analyze and diff parse their own.
+DEFAULT_OPTIONS = RunOptions()
+
+
+# Each kind of relation as labels, from the distinct index rows an
+# algorithm's ``run`` returns: (p, n) for NTSCD, (p, a, b) with each pair
+# {a, b} once per p for DOD, and node indices for a closure.
+LABELS: dict[str, Callable[[Cfg, Collection], frozenset]] = {
+    "ntscd": ntscd_labels,
+    "dod": dod_labels,
+    "closure": closure_labels,
+}
+
+
 @dataclass(frozen=True)
 class Algorithm:
     """One algorithm id: the relation it computes (also its ``analyze``
-    report key), how to run it, and how ``check`` gates it against the
-    oracle of its kind: "equal", "superset", or None (not gated)."""
+    report key), how to run it on node indices, and how ``check`` gates it
+    against the oracle of its kind: "equal", "superset", or None (not
+    gated)."""
 
     kind: str
-    run: Callable[[Cfg, RunOptions], frozenset]
+    run: Callable[[Cfg, RunOptions], Collection]
     gate: Literal["equal", "superset"] | None
+
+    def relation(self, g: Cfg, opts: RunOptions) -> frozenset:
+        """The label relation of ``run``: what the library function returns.
+        Most of ``check``'s graphs have an empty relation, so that skips the
+        conversion."""
+        rows = self.run(g, opts)
+        return LABELS[self.kind](g, rows) if rows else frozenset()
 
 
 # ntscd-rang is not gated: under a popping policy it is known to be
 # order-sensitive and wrong on some graphs, which is why it is kept.  The
 # original DOD formula over-approximates, so it is gated as a superset.
 ALGORITHMS: dict[str, Algorithm] = {
-    "ntscd-new": Algorithm("ntscd", lambda g, o: ntscd_new(g), "equal"),
-    "ntscd-vp": Algorithm("ntscd", lambda g, o: ntscd_from_vp(g, vp_sets(g)), "equal"),
-    "ntscd-rang": Algorithm("ntscd", lambda g, o: ntscd_ranganath(g, o.policy), None),
-    "ntscd-rang-fixed": Algorithm("ntscd", lambda g, o: ntscd_ranganath_fixed(g), "equal"),
-    "dod-new": Algorithm("dod", lambda g, o: dod_new(g), "equal"),
-    "dod-formula": Algorithm("dod", lambda g, o: dod_formula(g, "original"), "superset"),
-    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula(g, "fixed"), "equal"),
-    "cc": Algorithm("closure", lambda g, o: strong_closure(g, o.spec), None),
+    "ntscd-new": Algorithm("ntscd", lambda g, o: ntscd_new_rows(g), "equal"),
+    "ntscd-vp": Algorithm("ntscd", lambda g, o: ntscd_from_vp_rows(g, vp_sets(g)), "equal"),
+    "ntscd-rang": Algorithm("ntscd", lambda g, o: ntscd_ranganath_rows(g, o.policy), None),
+    "ntscd-rang-fixed": Algorithm("ntscd", lambda g, o: ntscd_ranganath_fixed_rows(g), "equal"),
+    "dod-new": Algorithm("dod", lambda g, o: dod_from_vp_rows(g, vp_sets(g)), "equal"),
+    "dod-formula": Algorithm("dod", lambda g, o: dod_formula_rows(g, "original"), "superset"),
+    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula_rows(g, "fixed"), "equal"),
+    "cc": Algorithm("closure", lambda g, o: strong_closure_nodes(g, o.spec), None),
 }
 
 ORACLES: dict[str, Callable[[Cfg], frozenset]] = {"ntscd": oracle_ntscd, "dod": oracle_dod}
@@ -107,20 +131,53 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         opts = RunOptions(spec=ClosureSpec(w=frozenset(args.criterion.split(",")), start=args.start))
     start = time.perf_counter_ns()
-    result = algo.run(g, opts)
+    rows = algo.run(g, opts)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    report = {
-        "graph": {
-            "nodes": len(g),
-            "edges": g.n_edges,
-            "predicates": len(predicates(g)),
-        },
-        "algo": args.algo,
-        algo.kind: sorted(result),
-        "time_us": elapsed_us,
-    }
-    _write_text(args.output, json.dumps(report, indent=2))
+    _write_text(args.output, report_json(g, args.algo, algo.kind, rows, elapsed_us))
     return 0
+
+
+def report_json(g: Cfg, algo_id: str, kind: str, rows: Collection, elapsed_us: int) -> str:
+    """The ``analyze`` report, byte for byte what ``json.dumps(report,
+    indent=2)`` writes for {"graph": {"nodes", "edges", "predicates"},
+    "algo", kind: the sorted label relation, "time_us"}."""
+    return (
+        f'{{\n  "graph": {{\n    "nodes": {len(g)},\n    "edges": {g.n_edges},\n'
+        f'    "predicates": {len(predicate_indices(g))}\n  }},\n  "algo": {json.dumps(algo_id)},\n'
+        f'  {json.dumps(kind)}: {_relation_json(g, kind, rows)},\n  "time_us": {elapsed_us}\n}}'
+    )
+
+
+def _relation_json(g: Cfg, kind: str, rows: Collection) -> str:
+    """The indent-2 JSON array of a relation's index rows, sorted by label.
+
+    Only the labels the rows name are ranked and encoded, once each, so an
+    empty relation costs nothing per label.  Rows sort as integer keys over
+    those ranks, and a DOD pair is written in label order, as the label
+    relation holds it.
+    """
+    if not rows:
+        return "[]"
+    labels = g.labels
+    if kind == "closure":
+        items = [encode_basestring_ascii(labels[i]) for i in sorted(rows, key=labels.__getitem__)]
+        return "[\n    " + ",\n    ".join(items) + "\n  ]"
+    named = sorted(set(chain.from_iterable(rows)), key=labels.__getitem__)
+    text = [encode_basestring_ascii(labels[i]) for i in named]
+    k = len(named)
+    rank = [0] * len(labels)
+    for r, i in enumerate(named):
+        rank[i] = r
+    if kind == "ntscd":
+        keys = sorted([rank[p] * k + rank[x] for p, x in rows])
+        items = [f"{text[key // k]},\n      {text[key % k]}" for key in keys]
+    else:
+        kk = k * k
+        keys = sorted(
+            [rank[p] * kk + (rank[a] * k + rank[b] if rank[a] < rank[b] else rank[b] * k + rank[a]) for p, a, b in rows]
+        )
+        items = [f"{text[key // kk]},\n      {text[key // k % k]},\n      {text[key % k]}" for key in keys]
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(items) + "\n    ]\n  ]"
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -134,8 +191,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
         raise ValueError("diff does not support cc")
     g = _load_graph(args.input, args.format)
     opts = RunOptions(policy=_parse_policy(args.policy))
-    first = ALGORITHMS[first_id].run(g, opts)
-    second = ALGORITHMS[second_id].run(g, opts)
+    first = ALGORITHMS[first_id].relation(g, opts)
+    second = ALGORITHMS[second_id].relation(g, opts)
     if first == second:
         print(f"{first_id} == {second_id}: {len(first)} entries")
         return 0
@@ -177,7 +234,7 @@ def _run_gated(algo: Algorithm, g: Cfg) -> frozenset | str:
     """A gated variant's result, or a description of the exception it
     raised: to ``check``, a variant that raises is a mismatch, not a crash."""
     try:
-        return algo.run(g, RunOptions())
+        return algo.relation(g, DEFAULT_OPTIONS)
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
 
@@ -204,6 +261,9 @@ def differential_failures(g: Cfg) -> list[str]:
 # check draws and runs its cases this many at a time, so its memory follows
 # the window, not --count, and it stops within one window of a mismatch.
 CHECK_WINDOW = 1024
+# A pool is sent a window's cases this many at a time; after a mismatch,
+# only the few chunks already sent to its workers still run.
+CHECK_CHUNK = 16
 
 
 def check_cases(count: int, max_nodes: int, seed: int) -> Iterator[tuple[int, int, int]]:
@@ -254,10 +314,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     workers = min(worker_count(), args.count)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         while window := list(islice(cases, CHECK_WINDOW)):
-            chunksize = max(1, len(window) // (4 * workers))
-            results = pool.map(_check_one, window, chunksize=chunksize) if pool else map(_check_one, window)
+            results = pool.map(_check_one, window, chunksize=CHECK_CHUNK) if pool else map(_check_one, window)
             for case, failures in zip(window, results):
                 if failures:
+                    if pool:
+                        # Leaving the ``with`` would run the rest of the window first.
+                        pool.shutdown(cancel_futures=True)
                     _dump_mismatch(random_cfg(*case), failures, args.fail_out)
                     return 1
     print(f"ok: {args.count} graphs, all algorithm variants agree")
@@ -350,7 +412,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for algo_id in algos:
         run = ALGORITHMS[algo_id].run
         for g in cells:
-            mean_us, min_us = time_algorithm(lambda gg: run(gg, RunOptions()), g, args.reps)
+            mean_us, min_us = time_algorithm(lambda gg: run(gg, DEFAULT_OPTIONS), g, args.reps)
             records.append(
                 BenchRecord(
                     algo=algo_id,

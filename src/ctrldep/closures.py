@@ -11,8 +11,10 @@ it is exactly the minimal strongly control-closed superset.
 ``strong_closure`` computes that closure on demand, without either whole
 relation: one backward propagation (``Coloring.controllers``) per node it
 takes in, and the DOD segments (``dod_segments``, shared with ``dod_new``)
-of only the root cycles it holds two nodes of.  ``dependence_closure`` over
-the whole relations of ``dod_and_ntscd`` is the reference.
+of only the root cycles it holds two nodes of.  It is ``closure_labels`` of
+``strong_closure_nodes``, which works on node indices.
+``dependence_closure`` over the whole relations of ``dod_and_ntscd`` is the
+reference.
 """
 
 from __future__ import annotations
@@ -124,8 +126,14 @@ def dependence_closure(
     return frozenset(closure)
 
 
-def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
-    """Minimal strongly control-closed superset of ``spec.w``.
+def closure_labels(g: Cfg, nodes: Iterable[int]) -> frozenset[str]:
+    """The labels of a closure's node indices."""
+    labels = g.labels
+    return frozenset(labels[i] for i in nodes)
+
+
+def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
+    """Minimal strongly control-closed superset of ``spec.w``, as node indices.
 
     Requires ``spec.start`` to belong to ``spec.w`` and every node to be
     reachable from it; those are the hypotheses under which closure under
@@ -191,4 +199,9 @@ def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
                         watch[y].append((p, bit))
             fire(pending.pop(c))
         fire(x)
-    return frozenset(g.labels[i] for i, flag in enumerate(inside) if flag)
+    return [i for i, flag in enumerate(inside) if flag]
+
+
+def strong_closure(g: Cfg, spec: ClosureSpec) -> frozenset[str]:
+    """``strong_closure_nodes`` as labels."""
+    return closure_labels(g, strong_closure_nodes(g, spec))

@@ -13,18 +13,25 @@ set and unfold the cycle the projection forms.
 ``dod_formula`` is the classic pairwise formula, in its original form
 (plain reachability, known to over-approximate) and the repaired form
 (membership on all maximal paths).
+
+Both are written once, on node indices: ``dod_from_vp_rows`` and
+``dod_formula_rows`` return distinct (p, a, b) index rows, each unordered
+pair {a, b} once per p, and the label functions are ``dod_labels`` of
+those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterable, Iterator
 
 from .cfg import Cfg, bit_indices, first_hits, node_indices, predicate_indices, reach
 from .coloring import VpMap, vp_sets
 
 DodRelation = frozenset[tuple[str, str, str]]
+
+DodRows = list[tuple[int, int, int]]
 
 
 class ProjectionStructureError(RuntimeError):
@@ -219,20 +226,29 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
         yield p, into[2], into[1]
 
 
-def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
-    """DOD from the all-paths pointers: the pairs across each predicate's segments."""
+def dod_labels(g: Cfg, rows: Iterable[tuple[int, int, int]]) -> DodRelation:
+    """The label relation of (p, a, b) index rows, each pair in label order."""
     labels = g.labels
-    out: set[tuple[str, str, str]] = set()
+    return frozenset(
+        [(labels[p], x, y) if x < y else (labels[p], y, x) for p, a, b in rows for x, y in ((labels[a], labels[b]),)]
+    )
+
+
+def dod_from_vp_rows(g: Cfg, vp: VpMap) -> DodRows:
+    """DOD from the all-paths pointers: the pairs across each predicate's
+    segments, which are disjoint, so each pair comes once."""
+    out = []
     for p, m_segment, o_segment in dod_segments(g, vp, predicate_indices(g)):
-        p_lab = labels[p]
-        others = [labels[b] for b in o_segment]
-        for a in m_segment:
-            x = labels[a]
-            out.update((p_lab, x, y) if x < y else (p_lab, y, x) for y in others)
-    return frozenset(out)
+        out.extend(product((p,), m_segment, o_segment))
+    return out
 
 
-def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
+def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
+    """``dod_from_vp_rows`` as labels."""
+    return dod_labels(g, dod_from_vp_rows(g, vp))
+
+
+def dod_formula_rows(g: Cfg, variant: str = "original") -> set[tuple[int, int, int]]:
     """Pairwise-formula DOD: for every predicate p and pair {a, b}, require
     mutual reachability and opposite first-occurrence orders from the two
     branches.
@@ -244,9 +260,8 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
     if variant not in ("original", "fixed"):
         raise ValueError(f"unknown variant {variant!r}; expected 'original' or 'fixed'")
     n = len(g.labels)
-    labels = g.labels
     if n == 0:
-        return frozenset()
+        return set()
     vsets = vp_sets(g).index_sets
     sets = vsets if variant == "fixed" else [reach(g.succs, (v,)) for v in range(n)]
     mutual = [0] * n
@@ -276,13 +291,12 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
             first_masks[key] = got
         return got
 
-    out: set[tuple[str, str, str]] = set()
+    out: set[tuple[int, int, int]] = set()
     for p in predicate_indices(g):
         s1, s2 = g.succs[p]
         # a first from one branch and b first from the other, in both orientations
         orientations = ((s1, s2), (s2, s1))
         not_p = all_bits & ~(1 << p)
-        p_lab = labels[p]
         for a in range(n):
             if a == p:
                 continue
@@ -294,6 +308,10 @@ def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
                     continue
                 for b in bit_indices(mm & first_mask(sa, a)):
                     if b in vsets[sb] and (first_mask(sb, b) >> a) & 1:
-                        x, y = labels[a], labels[b]
-                        out.add((p_lab, x, y) if x < y else (p_lab, y, x))
-    return frozenset(out)
+                        out.add((p, a, b) if a < b else (p, b, a))
+    return out
+
+
+def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
+    """``dod_formula_rows`` as labels."""
+    return dod_labels(g, dod_formula_rows(g, variant))

@@ -8,12 +8,17 @@ faithful transcription of the classic forward worklist algorithm, which is
 sensitive to the order nodes are popped and can produce wrong results;
 ``ntscd_ranganath_fixed`` repairs it by iterating the loop body over all
 nodes to a fixpoint.
+
+Each is written once, on node indices: its ``*_rows`` twin returns the
+relation as distinct (p, n) index rows, and the label function is
+``ntscd_labels`` of those rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .cfg import Cfg, bit_indices, node_indices, predicate_indices
 from .coloring import Coloring, VpMap
@@ -26,28 +31,43 @@ SymbolTable = dict[tuple[str, str], frozenset[tuple[str, str]]]
 
 WorklistPolicy = str | Sequence[str]
 
+NtscdRows = list[tuple[int, int]]
 
-def ntscd_new(g: Cfg) -> NtscdRelation:
+
+def ntscd_labels(g: Cfg, rows: Iterable[tuple[int, int]]) -> NtscdRelation:
+    """The label relation of distinct (p, n) index rows."""
+    labels = g.labels
+    return frozenset([(labels[p], labels[n]) for p, n in rows])
+
+
+def ntscd_new_rows(g: Cfg) -> NtscdRows:
     """Backward-propagation NTSCD; O(|V|^2) and order-independent.
 
     For each node n, the predicates ``Coloring.controllers`` finds for n
     control it.
     """
-    labels = g.labels
     controllers = Coloring(g).controllers
-    return frozenset((labels[p], labels[t]) for t in range(len(labels)) for p in controllers(t))
+    return [(p, t) for t in range(len(g)) for p in controllers(t)]
+
+
+def ntscd_new(g: Cfg) -> NtscdRelation:
+    """``ntscd_new_rows`` as labels."""
+    return ntscd_labels(g, ntscd_new_rows(g))
+
+
+def ntscd_from_vp_rows(g: Cfg, vp: VpMap) -> NtscdRows:
+    """NTSCD from the all-paths pointers: a predicate controls every node
+    on which its two successors' chains disagree."""
+    out = []
+    for p in predicate_indices(g):
+        s1, s2 = g.succs[p]
+        out.extend(product((p,), set(vp.chain(s1)).symmetric_difference(vp.chain(s2))))
+    return out
 
 
 def ntscd_from_vp(g: Cfg, vp: VpMap) -> NtscdRelation:
-    """NTSCD from the all-paths pointers: a predicate controls every node
-    on which its two successors' chains disagree."""
-    labels = g.labels
-    out = set()
-    for p in predicate_indices(g):
-        s1, s2 = g.succs[p]
-        for i in set(vp.chain(s1)).symmetric_difference(vp.chain(s2)):
-            out.add((labels[p], labels[i]))
-    return frozenset(out)
+    """``ntscd_from_vp_rows`` as labels."""
+    return ntscd_labels(g, ntscd_from_vp_rows(g, vp))
 
 
 # The symbol table is two bit rows per node: bit j of ``T[slot][n]`` says
@@ -160,14 +180,11 @@ def _run_ranganath_fixed(g: Cfg) -> BitTable:
             return T
 
 
-def _relation_from_table(g: Cfg, T: BitTable) -> NtscdRelation:
+def _rows_from_table(g: Cfg, T: BitTable) -> NtscdRows:
     # Emit (p, n) when the cell holds exactly one of the two branch symbols.
-    labels = g.labels
     preds_list = predicate_indices(g)
     T0, T1 = T
-    return frozenset(
-        (labels[preds_list[j]], labels[nd]) for nd in range(len(labels)) for j in bit_indices(T0[nd] ^ T1[nd])
-    )
+    return [(preds_list[j], nd) for nd in range(len(g)) for j in bit_indices(T0[nd] ^ T1[nd])]
 
 
 def _symbol_table(g: Cfg, T: BitTable) -> SymbolTable:
@@ -183,14 +200,19 @@ def _symbol_table(g: Cfg, T: BitTable) -> SymbolTable:
     return table
 
 
-def ntscd_ranganath(g: Cfg, policy: WorklistPolicy = "fifo") -> NtscdRelation:
+def ntscd_ranganath_rows(g: Cfg, policy: WorklistPolicy = "fifo") -> NtscdRows:
     """The original worklist algorithm, flaws and all.
 
     The result depends on the popping policy by design; with the default
     fifo policy it reproduces the known wrong answers.  Never use this for
     correctness-sensitive work; it exists to demonstrate the flaw.
     """
-    return _relation_from_table(g, _run_ranganath(g, policy))
+    return _rows_from_table(g, _run_ranganath(g, policy))
+
+
+def ntscd_ranganath(g: Cfg, policy: WorklistPolicy = "fifo") -> NtscdRelation:
+    """``ntscd_ranganath_rows`` as labels."""
+    return ntscd_labels(g, ntscd_ranganath_rows(g, policy))
 
 
 def ntscd_ranganath_with_table(
@@ -198,15 +220,20 @@ def ntscd_ranganath_with_table(
 ) -> tuple[NtscdRelation, SymbolTable]:
     """Like ``ntscd_ranganath`` but also returns the final symbol table."""
     T = _run_ranganath(g, policy)
-    return _relation_from_table(g, T), _symbol_table(g, T)
+    return ntscd_labels(g, _rows_from_table(g, T)), _symbol_table(g, T)
+
+
+def ntscd_ranganath_fixed_rows(g: Cfg) -> NtscdRows:
+    """The repaired worklist algorithm: iterate the body over all nodes to a
+    fixpoint (O(|V|^5) worst case), then emit from the complete table."""
+    return _rows_from_table(g, _run_ranganath_fixed(g))
 
 
 def ntscd_ranganath_fixed(g: Cfg) -> NtscdRelation:
-    """The repaired worklist algorithm: iterate the body over all nodes to a
-    fixpoint (O(|V|^5) worst case), then emit from the complete table."""
-    return _relation_from_table(g, _run_ranganath_fixed(g))
+    """``ntscd_ranganath_fixed_rows`` as labels."""
+    return ntscd_labels(g, ntscd_ranganath_fixed_rows(g))
 
 
 def ntscd_ranganath_fixed_with_table(g: Cfg) -> tuple[NtscdRelation, SymbolTable]:
     T = _run_ranganath_fixed(g)
-    return _relation_from_table(g, T), _symbol_table(g, T)
+    return ntscd_labels(g, _rows_from_table(g, T)), _symbol_table(g, T)

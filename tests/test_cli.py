@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from ctrldep import (
     ntscd_ranganath,
     ntscd_ranganath_fixed,
     parse_cfg,
+    predicates,
     random_cfg,
     random_reducible_cfg,
     serialize_cfg,
@@ -300,7 +302,7 @@ WRONG_DOD_NEW = """
 import sys
 from dataclasses import replace
 from ctrldep import cli
-cli.ALGORITHMS["dod-new"] = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: frozenset({("?", "?", "?")}))
+cli.ALGORITHMS["dod-new"] = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, 0, 0)])
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -327,21 +329,35 @@ def test_check_holds_no_case_list(threads, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+CHECK_ONE = cli._check_one
+
+
+def counted_check_one(case):
+    """``cli._check_one`` that first appends a line to the file named by
+    ``CHECK_CALLS``; defined at module level, so a pool can send it to its
+    forked workers, which append to the same file."""
+    with open(os.environ["CHECK_CALLS"], "a", encoding="utf-8") as fh:
+        fh.write("call\n")
+    return CHECK_ONE(case)
+
+
 def test_check_stops_at_the_first_mismatch(tmp_path, monkeypatch):
-    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: frozenset({("?", "?", "?")}))
+    # Every graph mismatches.  Serially, check runs one graph; a pool drops
+    # the window's graphs not yet sent to a worker instead of running them.
+    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, 0, 0)])
     monkeypatch.setitem(cli.ALGORITHMS, "dod-new", wrong)
-    check_one = cli._check_one
-    calls = []
-
-    def counted(case):
-        calls.append(case)
-        return check_one(case)
-
-    monkeypatch.setattr(cli, "_check_one", counted)
-    monkeypatch.delenv("CTRLDEP_THREADS", raising=False)
+    monkeypatch.setattr(cli, "_check_one", counted_check_one)
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["check", "--count", "50", "--max-nodes", "6"]) == 1
-    assert len(calls) == 1
+    for threads in ("1", "2"):
+        calls = tmp_path / f"calls-{threads}"
+        monkeypatch.setenv("CHECK_CALLS", str(calls))
+        monkeypatch.setenv("CTRLDEP_THREADS", threads)
+        assert cli.main(["check", "--count", str(4 * cli.CHECK_WINDOW), "--max-nodes", "6"]) == 1
+        count = len(calls.read_text().splitlines())
+        if threads == "1":
+            assert count == 1
+        else:
+            assert count < cli.CHECK_WINDOW // 4, count
 
 
 def test_check_small_run(tmp_path):
@@ -433,6 +449,91 @@ def test_analyze_matches_the_library_for_every_id(algo, tmp_path, capsys):
         assert report["algo"] == algo
         assert report[key] == json.loads(json.dumps(sorted(library(g)))), name
         assert set(report) == {"graph", "algo", key, "time_us"}
+
+
+# Labels the writer must escape as json.dumps does, and numeric labels whose
+# string order is not their numeric order ("10" < "9").
+HOSTILE = ['say "hi"', "back\\slash", "caf\u00e9", "\u2028", "\x07", "", "10", "9", "\U0001f600"]
+
+
+def hostile_graphs() -> list[Cfg]:
+    """Two fed cycles, with non-empty NTSCD and DOD relations, and a chain,
+    with empty ones, relabelled in a shuffled order by ``HOSTILE`` and
+    numbers; the first node stays "start", so cc can start from it."""
+    chain = ["start", *HOSTILE]
+    graphs = [Cfg(chain, list(zip(chain, chain[1:])))]
+    for seed in (1, 3):
+        g = fed_cycle_cfg(seed)
+        fresh = HOSTILE + [str(i) for i in range(11, 10 + len(g) - len(HOSTILE))]
+        Random(seed).shuffle(fresh)
+        rename = dict(zip(g.labels, ["start", *fresh]))
+        graphs.append(Cfg([rename[x] for x in g.labels], [(rename[a], rename[b]) for a, b in g.edges()]))
+    return graphs
+
+
+def without_time(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.lstrip().startswith('"time_us"')]
+
+
+def analyze_argv(g: Cfg, path, algo: str) -> list[str]:
+    """``analyze`` of ``algo`` on ``g``, written to ``path``; cc as in ``LIBRARY``."""
+    path.write_text(serialize_cfg(g))
+    argv = ["analyze", "--input", str(path), "--algo", algo]
+    if algo == "cc":
+        argv += ["--criterion", f"{g.labels[0]},{g.labels[-1]}", "--start", g.labels[0]]
+    return argv
+
+
+def library_report(g: Cfg, algo: str, key: str, relation) -> str:
+    report = {
+        "graph": {"nodes": len(g), "edges": g.n_edges, "predicates": len(predicates(g))},
+        "algo": algo,
+        key: sorted(relation),
+        "time_us": 0,
+    }
+    return json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("algo", sorted(cli.ALGORITHMS))
+def test_analyze_writes_what_json_dumps_writes(algo, tmp_path, capsys):
+    key, _, library = LIBRARY[algo]
+    sizes = []
+    for g in hostile_graphs():
+        assert cli.main(analyze_argv(g, tmp_path / "g.json", algo)) == 0
+        out = capsys.readouterr().out
+        relation = library(g)
+        assert out.endswith("}\n")
+        assert without_time(out) == without_time(library_report(g, algo, key, relation))
+        sizes.append(len(relation))
+    # The chain's relation is empty, except a closure, which holds its criterion.
+    assert (sizes[0] == 0) == (key != "closure") and min(sizes[1:]) > 0, sizes
+    # No request gives an empty closure, so write one directly.
+    g = hostile_graphs()[0]
+    assert cli.report_json(g, algo, key, [], 7) == library_report(g, algo, key, ()).replace('"time_us": 0', '"time_us": 7')
+
+
+@pytest.mark.parametrize("algo", sorted(cli.ALGORITHMS))
+def test_analyze_encodes_each_label_it_writes_once(algo, tmp_path, capsys, monkeypatch):
+    # A count, not a timing: the writer encodes exactly the labels its
+    # relation names, each once, and none for an empty relation.
+    encode = cli.encode_basestring_ascii
+    encoded = []
+
+    def counted(label):
+        encoded.append(label)
+        return encode(label)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counted)
+    key = cli.ALGORITHMS[algo].kind
+    for g in hostile_graphs():
+        encoded.clear()
+        assert cli.main(analyze_argv(g, tmp_path / "g.json", algo)) == 0
+        relation = json.loads(capsys.readouterr().out)[key]
+        named = set(relation) if key == "closure" else {x for row in relation for x in row}
+        assert sorted(encoded) == sorted(named)
+    encoded.clear()
+    cli.report_json(g, algo, key, [], 0)
+    assert encoded == []
 
 
 GATED = sorted(a for a, row in cli.ALGORITHMS.items() if row.gate is not None)
@@ -571,9 +672,9 @@ def test_gated_relations_ignore_node_and_edge_order(g, data):
     renamed = Cfg([rename[a] for a in order], [(rename[a], rename[b]) for a, b in edges])
     for algo in GATED:
         row = cli.ALGORITHMS[algo]
-        result = row.run(g, cli.RunOptions())
-        assert row.run(h, cli.RunOptions()) == result, algo
-        assert _unordered(row.kind, row.run(renamed, cli.RunOptions())) == _unordered(
+        result = row.relation(g, cli.RunOptions())
+        assert row.relation(h, cli.RunOptions()) == result, algo
+        assert _unordered(row.kind, row.relation(renamed, cli.RunOptions())) == _unordered(
             row.kind, result, rename.__getitem__
         ), algo
 
