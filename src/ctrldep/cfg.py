@@ -181,8 +181,9 @@ def _parse_json(text: str) -> Cfg:
         raise ParseError("'nodes' must be an array of strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be an array of [src, dst] pairs")
+    # json.loads makes exact lists and strs, so exact type tests suffice.
     for k, item in enumerate(edges):
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
+        if type(item) is not list or len(item) != 2 or type(item[0]) is not str or type(item[1]) is not str:
             raise ParseError(f"edge #{k}: expected a [src, dst] pair of strings")
     try:
         return Cfg(nodes, edges)

@@ -2,14 +2,17 @@
 
 The kernel seeds a target set and walks reverse edges: a node joins the
 result once all of its out-edges lead to members (and it has at least one
-out-edge).  Each node keeps a countdown of not-yet-member successors, so
-every edge is inspected at most once per run.  Scratch state is
-generation-stamped rather than cleared, which keeps repeated runs over the
-same graph cheap; ``ntscd_new`` runs ``controllers`` once per node.
+out-edge).  Out-degree is at most two, so one stamp per node is all the
+state a run needs: a node with one out-edge joins the first time a member
+reaches it, and a node with two is stamped "touched" when the first of its
+out-edges is found to lead to a member, and joins when the second is.
+Every edge is inspected at most once per run.
+Stamps are per generation rather than cleared, which keeps repeated runs
+over the same graph cheap; ``ntscd_new`` runs ``controllers`` once per node.
 ``vp_sets`` instead finds the all-paths sets as one parent pointer per node.
 
-Propagation uses an explicit stack, never recursion, so deep graphs are
-safe.
+Propagation walks its own growing list of members, never recursion, so
+deep graphs are safe.
 """
 
 from __future__ import annotations
@@ -25,18 +28,19 @@ from .cfg import Cfg, predicate_indices
 class Coloring:
     """Reusable scratch state for seed-set propagations over one graph.
 
+    A run takes two stamp values, ``red`` (a member) and ``red - 1``
+    (touched: one of two out-edges leads to a member); each run advances the
+    generation by two, so every lower stamp means untouched in this run.
+
     Instances are single-invocation-at-a-time scratch; the underlying Cfg
     is immutable and may be shared, so independent instances can run
     concurrently.
     """
 
     def __init__(self, g: Cfg) -> None:
-        n = len(g.labels)
         self.g = g
-        self._outdeg = [len(s) for s in g.succs]
-        self._stamp = [0] * n
-        self._red = bytearray(n)
-        self._counter = [0] * n
+        self._two = [len(s) == 2 for s in g.succs]
+        self._stamp = [0] * len(g.labels)
         self._gen = 0
         self._last_red: list[int] = []
         self._last_touched: list[int] = []
@@ -45,61 +49,52 @@ class Coloring:
         """Propagate from ``targets``; returns indices of all member nodes.
 
         A member ("red") node is one from which every maximal path hits the
-        target set.  Every node with a red successor has its scratch state
-        initialized in the run, and is recorded as touched.
+        target set.  The returned list is also the work queue: each member
+        is appended once and then visits its in-edges.  A node with two
+        out-edges is recorded as touched when the first of them is found
+        to lead to a member.
         """
-        self._gen += 1
-        gen = self._gen
+        self._gen = red = self._gen + 2
+        touched = red - 1
         stamp = self._stamp
-        red = self._red
-        counter = self._counter
-        outdeg = self._outdeg
+        two = self._two
         preds = self.g.preds
         red_list: list[int] = []
-        touched: list[int] = []
+        touched_list: list[int] = []
         for t in targets:
-            if stamp[t] != gen:
-                stamp[t] = gen
-                counter[t] = outdeg[t]
-                red[t] = 1
-                touched.append(t)
+            if stamp[t] != red:
+                stamp[t] = red
                 red_list.append(t)
-        stack = list(red_list)
-        while stack:
-            s = stack.pop()
+        for s in red_list:
             for m in preds[s]:
-                if stamp[m] != gen:
-                    stamp[m] = gen
-                    counter[m] = outdeg[m]
-                    red[m] = 0
-                    touched.append(m)
-                c = counter[m] - 1
-                counter[m] = c
-                if c == 0 and not red[m]:
-                    red[m] = 1
+                st = stamp[m]
+                if st == red:
+                    continue
+                if st != touched and two[m]:
+                    stamp[m] = touched
+                    touched_list.append(m)
+                else:
+                    stamp[m] = red
                     red_list.append(m)
-                    stack.append(m)
         self._last_red = red_list
-        self._last_touched = touched
+        self._last_touched = touched_list
         return red_list
 
     def controllers(self, target: int) -> list[int]:
         """The predicates that NTSCD-control ``target``: one propagation
-        from it, then every predicate with exactly one red successor.  The
-        touched nodes include every candidate (the target too); a node
-        whose two edges share a target never has exactly one.  O(|E|)."""
+        from it, then every predicate with exactly one red successor.  Such
+        a predicate is ``target`` itself or was touched and never turned
+        red; a node whose two edges share a target turns red on the second.
+        O(|E|)."""
         self.run((target,))
-        gen = self._gen
+        red = self._gen
+        touched = red - 1
         stamp = self._stamp
-        red = self._red
-        succs = self.g.succs
         out = []
-        for m in self._last_touched:
-            ss = succs[m]
-            if len(ss) == 2:
-                s1, s2 = ss
-                if bool(stamp[s1] == gen and red[s1]) != bool(stamp[s2] == gen and red[s2]):
-                    out.append(m)
+        ss = self.g.succs[target]
+        if len(ss) == 2 and (stamp[ss[0]] == red) != (stamp[ss[1]] == red):
+            out.append(target)
+        out += [m for m in self._last_touched if stamp[m] == touched]
         return out
 
     def edge_visits(self) -> int:

@@ -52,6 +52,16 @@ def test_parse_rejects_malformed_input():
         parse_cfg("a b\nx y z\n", "edgelist")
 
 
+@pytest.mark.parametrize(
+    "edge",
+    ['"ab"', '{"a":"b"}', "null", "true", "[]", '["a"]', '["a","a","a"]', '[1,"a"]', '[["a"],"a"]', '["a",null]', '["a",true]'],
+)
+def test_parse_rejects_each_edge_shape_that_is_not_a_pair_of_strings(edge):
+    # The bad edge comes second, so the message must number it #1.
+    with pytest.raises(ParseError, match=r"^edge #1: expected a \[src, dst\] pair of strings$"):
+        parse_cfg('{"nodes":["a"],"edges":[["a","a"],%s]}' % edge)
+
+
 def test_serialize_single_node_exact():
     assert serialize_cfg(Cfg(["a"], [])) == '{"nodes":["a"],"edges":[]}'
 

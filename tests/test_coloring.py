@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrldep import Cfg, random_cfg, random_reducible_cfg, worst_case_dod_cfg
+from ctrldep.cfg import predicate_indices
 from ctrldep.coloring import Coloring, vp_sets
+from ctrldep.ntscd import ntscd_new_rows
 from ctrldep.oracle import oracle_exists_maximal_avoiding
 
 from conftest import diamond_ladder, small_cfgs
@@ -164,3 +166,71 @@ def test_each_coloring_visits_each_edge_at_most_once(g):
     for i in range(len(g)):
         eng.run((i,))
         assert eng.edge_visits() <= g.n_edges
+
+
+def fixpoint(g: Cfg, targets) -> set[int]:
+    """The least node set holding ``targets`` and every node that has
+    out-edges, all of which lead into the set."""
+    red = set(targets)
+    grew = True
+    while grew:
+        grew = False
+        for m, ss in enumerate(g.succs):
+            if m not in red and ss and all(s in red for s in ss):
+                red.add(m)
+                grew = True
+    return red
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cfgs(max_nodes=8), st.data())
+def test_one_instance_across_many_generations(g, data):
+    # Stamps left by earlier runs (members, and nodes touched once) must
+    # read as untouched in every later run.
+    eng = Coloring(g)
+    nodes = st.integers(0, len(g) - 1)
+    for _ in range(data.draw(st.integers(1, 12))):
+        if data.draw(st.booleans()):
+            targets = data.draw(st.lists(nodes, min_size=1, max_size=4))
+            got = eng.run(targets + targets)
+            fresh = Coloring(g)
+            assert sorted(got) == sorted(fresh.run(targets))
+            assert len(got) == len(set(got)) and set(got) == fixpoint(g, targets)
+            assert eng.edge_visits() == fresh.edge_visits()
+        else:
+            t = data.draw(nodes)
+            got = eng.controllers(t)
+            red = fixpoint(g, (t,))
+            expected = {p for p in predicate_indices(g) if (g.succs[p][0] in red) != (g.succs[p][1] in red)}
+            assert sorted(got) == sorted(Coloring(g).controllers(t))
+            assert len(got) == len(set(got)) and set(got) == expected
+    rows = ntscd_new_rows(g)
+    assert len(rows) == len(set(rows))
+
+
+def total_edge_visits(g: Cfg) -> int:
+    """Reverse-edge visits summed over one propagation from each node."""
+    eng = Coloring(g)
+    total = 0
+    for t in range(len(g)):
+        eng.run((t,))
+        total += eng.edge_visits()
+    return total
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_per_node_propagations_visit_n_choose_2_edges_on_a_chain(n):
+    # Seeded at node t, nodes 0..t turn red; all but node 0 have one
+    # in-edge, so the run makes t visits.
+    labels = [str(i) for i in range(n)]
+    g = Cfg(labels, list(zip(labels, labels[1:])))
+    assert total_edge_visits(g) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("rungs", [1, 2, 25, 60])
+def test_per_node_propagations_visit_5k2_plus_k_edges_on_a_ladder(rungs):
+    # Rung i holds p_i, two arms and the join j_i; every rung but the first
+    # has 5 in-edges.  Seeded at p_i: rungs 0..i-1 and p_i turn red, 5i
+    # visits; at j_i: rungs 0..i, 5i + 4; at an arm: itself, 1.  Summed
+    # over i < k: 5k^2 + k.
+    assert total_edge_visits(diamond_ladder(rungs, closed=False)) == 5 * rungs * rungs + rungs
