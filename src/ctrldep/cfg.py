@@ -30,41 +30,45 @@ class Cfg:
         succs:  per-node tuple of successor indices, in edge order.
         preds:  per-node tuple of predecessor indices (exact transpose of
                 ``succs``, duplicates preserved).
+        n_edges: the number of edges.
 
     Construction is the one graph validator: ValueError on a duplicate label,
     or on an edge ``#k`` with an undeclared endpoint or a third out-edge.
     """
 
-    __slots__ = ("labels", "index", "succs", "preds")
+    __slots__ = ("labels", "index", "succs", "preds", "n_edges")
 
     def __init__(self, labels: Sequence[str], edges: Sequence[tuple[str, str]]) -> None:
-        self.labels = tuple(labels)
-        index: dict[str, int] = {}
-        for lab in self.labels:
-            if lab in index:
-                raise ValueError(f"duplicate node label {lab!r}")
-            index[lab] = len(index)
-        succ_lists: list[list[int]] = [[] for _ in self.labels]
-        pred_lists: list[list[int]] = [[] for _ in self.labels]
-        for k, (src, dst) in enumerate(edges):
-            s = index.get(src)
-            d = index.get(dst)
-            if s is None or d is None:
-                raise ValueError(f"edge #{k}: endpoint {src if s is None else dst!r} is not a declared node")
-            if len(succ_lists[s]) == 2:
-                raise ValueError(f"edge #{k}: out-degree exceeds 2 for node {src!r}")
-            succ_lists[s].append(d)
-            pred_lists[d].append(s)
-        self.index = index
-        self.succs = tuple(tuple(t) for t in succ_lists)
-        self.preds = tuple(tuple(t) for t in pred_lists)
+        self.labels = labels = tuple(labels)
+        self.index = index = dict(zip(labels, range(len(labels))))
+        if len(index) != len(labels):
+            seen = set()
+            for lab in labels:
+                if lab in seen:
+                    raise ValueError(f"duplicate node label {lab!r}")
+                seen.add(lab)
+        succ_lists: list[list[int]] = [[] for _ in labels]
+        pred_lists: list[list[int]] = [[] for _ in labels]
+        # Every edge taken so far is in succ_lists, so their count is the
+        # number of the edge at fault.
+        try:
+            for src, dst in edges:
+                s = index[src]
+                d = index[dst]
+                out = succ_lists[s]
+                if len(out) == 2:
+                    raise ValueError(f"edge #{sum(map(len, succ_lists))}: out-degree exceeds 2 for node {src!r}")
+                out.append(d)
+                pred_lists[d].append(s)
+        except KeyError as exc:
+            k = sum(map(len, succ_lists))
+            raise ValueError(f"edge #{k}: endpoint {exc.args[0]!r} is not a declared node") from None
+        self.succs = tuple(map(tuple, succ_lists))
+        self.preds = tuple(map(tuple, pred_lists))
+        self.n_edges = sum(map(len, succ_lists))
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(s) for s in self.succs)
 
     def edges(self) -> list[tuple[str, str]]:
         """All edges as label pairs, nodes in order, out-edges in edge order."""

@@ -3,12 +3,18 @@
 Exit codes: 0 success, 1 relations differ (diff) or a mismatch was found
 (check), 2 input/flag errors (including oracle budget), 3 closure
 preconditions violated.
+
+The argument parser is built once per process, on the first ``main`` call,
+and every later call reuses it: a caller that runs ``main`` in-process many
+times pays for it once, and a one-shot process pays for it once as well.
+Importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import shlex
@@ -433,8 +439,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ctrldep", description=__doc__)
+    """The process's one parser, built on the first call; every caller
+    shares it, so none may change it."""
+    # The module docstring's last paragraph is about this cache, not for
+    # --help (and under -OO there is no docstring).
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = argparse.ArgumentParser(prog="ctrldep", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run one algorithm and report the relation")

@@ -111,6 +111,28 @@ def test_cfg_rejects_bad_construction():
         Cfg(["a"], [("a", "a"), ("a", "a"), ("a", "a")])
 
 
+def test_cfg_names_the_first_fault():
+    # The first label to repeat, not the first label that has a repeat.
+    with pytest.raises(ValueError, match="^duplicate node label 'b'$"):
+        Cfg(["a", "b", "b", "a"], [])
+    # Whichever fault comes first in edge order wins, and its number counts
+    # every edge before it.
+    third = [("a", "b"), ("b", "a"), ("a", "a"), ("a", "b")]
+    with pytest.raises(ValueError, match="^edge #3: out-degree exceeds 2 for node 'a'$"):
+        Cfg(["a", "b"], third + [("a", "zz")])
+    with pytest.raises(ValueError, match="^edge #3: endpoint 'zz' is not a declared node$"):
+        Cfg(["a", "b"], third[:3] + [("b", "zz"), ("a", "b")])
+    with pytest.raises(ValueError, match="^edge #1: endpoint 'zz' is not a declared node$"):
+        Cfg(["a", "b"], [("a", "b"), ("b", "zz"), ("zz", "a")])
+
+
+def test_cfg_counts_its_edges():
+    g = Cfg(["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "c"), ("c", "c")])
+    assert g.n_edges == 4 == sum(map(len, g.succs)) == sum(map(len, g.preds))
+    assert g.index == {"a": 0, "b": 1, "c": 2}
+    assert g.succs == ((1, 1), (2,), (2,)) and g.preds == ((), (0, 0), (1, 2))
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_cfgs(), st.sampled_from(["json", "edgelist"]))
 def test_roundtrip_property(g, fmt):

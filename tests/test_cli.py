@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -781,3 +782,169 @@ def test_nodes_above_the_cap_exit_2(command, nodes, largest, shape, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert f"error: --nodes {largest}: node count must be at most {MAX_NODES}" in proc.stderr
     assert not out.exists()
+
+
+# The parser is built once per process and shared by every later ``main``
+# call; nothing one call parses may reach the next.
+
+
+def in_process(argv: list[str], capsys) -> tuple[list[str], str, int]:
+    """stdout without ``time_us``, stderr and exit code of one in-process
+    ``main`` call; a usage error's ``SystemExit`` is its exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return without_time(out), err, code
+
+
+def fresh_process(argv: list[str]) -> tuple[list[str], str, int]:
+    proc = run_cli(*argv)
+    return without_time(proc.stdout), proc.stderr, proc.returncode
+
+
+def mixed_calls(g: Cfg, tmp_path) -> list[list[str]]:
+    """Every id on ``g``, then calls that would show what an earlier call
+    left behind: flags dropped after a call that set them, a usage error
+    and a bad input between good calls, and ``gen`` and ``diff``."""
+    graph = tmp_path / "g.json"
+    graph.write_text(serialize_cfg(g))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes":["a","a"],"edges":[]}')
+    analyze = ["analyze", "--input", str(graph), "--algo"]
+    calls = [analyze + [algo] for algo in sorted(cli.ALGORITHMS) if algo != "cc"]
+    calls += [
+        analyze + ["cc", "--criterion", "p,n3", "--start", "p"],
+        analyze + ["ntscd-new"],
+        analyze + ["cc"],
+        analyze + ["ntscd-rang", "--policy", "lifo"],
+        analyze + ["ntscd-rang"],
+        analyze + ["no-such-algo"],
+        analyze + ["dod-new"],
+        ["analyze", "--input", str(bad), "--algo", "dod-new"],
+        analyze + ["dod-new", "--format", "json"],
+        ["gen", "--shape", "random", "--nodes", "7", "--edges", "9", "--seed", "3"],
+        ["gen", "--shape", "dod-worst", "--nodes", "8", "--format", "edgelist"],
+        ["diff", "--input", str(graph), "--algo", "ntscd-new", "--algo", "ntscd-rang", "--policy", "lifo"],
+        ["diff", "--input", str(graph), "--algo", "ntscd-new"],
+        ["diff", "--input", str(graph), "--algo", "dod-new", "--algo", "dod-formula"],
+    ]
+    return calls
+
+
+def test_shared_parser_keeps_no_state_between_calls(fig7, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = mixed_calls(fig7, tmp_path)
+    results = [in_process(argv, capsys) for argv in calls]
+    assert [code for _, _, code in results] == [0] * 9 + [2, 0, 0, 2, 0, 2] + [0] * 4 + [2, 0]
+    for argv, result in zip(calls, results):
+        assert result == fresh_process(argv), argv
+
+
+def test_two_threads_share_the_parser(fig7, tmp_path, capsys):
+    # stdout is one stream, so each call writes its own file and the files
+    # are compared with a serial run's; exit codes are compared directly.
+    def with_output(argv: list[str], path) -> list[str]:
+        return argv if argv[0] == "diff" else argv + ["--output", str(path)]
+
+    def run(tag: str, outcomes: list) -> None:
+        for i, argv in enumerate(calls):
+            path = tmp_path / f"{tag}-{i}.out"
+            try:
+                code = cli.main(with_output(argv, path))
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, without_time(path.read_text()) if path.exists() else None))
+
+    calls = mixed_calls(fig7, tmp_path)
+    expected: list = []
+    run("serial", expected)
+    assert sum(text is not None for _, text in expected) == 15
+    barrier = threading.Barrier(2, timeout=60)
+    seen: list[list] = [[], []]
+
+    def client(n: int) -> None:
+        barrier.wait()
+        for rnd in range(5):
+            run(f"thread{n}-{rnd}", seen[n])
+
+    threads = [threading.Thread(target=client, args=(n,)) for n in range(2)]
+    # Switch threads often, so that their parses interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    capsys.readouterr()
+    assert seen == [expected * 5, expected * 5]
+
+
+HELP_ARGVS = [["--help"], *([command, "--help"] for command in ("analyze", "diff", "gen", "check", "bench"))]
+HELP_ARGVS.append(["analyze", "--input", "g.json", "--algo", "no-such-algo"])
+
+# Runs each argv list given as JSON in one process, and prints what every
+# call wrote and its exit code.
+CALLS = """
+import contextlib, io, json, sys
+from ctrldep import cli
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [out.getvalue(), err.getvalue(), code]
+print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_help_is_the_same_in_a_first_and_a_later_call():
+    env = cli_env(COLUMNS="80")
+    first = []
+    for argv in HELP_ARGVS:
+        proc = run_cli(*argv, env=env)
+        first.append([proc.stdout, proc.stderr, proc.returncode])
+    assert [code for _, _, code in first] == [0] * 6 + [2]
+    assert "usage: ctrldep analyze" in first[-1][1] and "invalid choice: 'no-such-algo'" in first[-1][1]
+    # Every help and usage error again after a call that parsed and ran.
+    gen = ["gen", "--shape", "dod-worst", "--nodes", "8"]
+    argvs = HELP_ARGVS + [gen] + HELP_ARGVS
+    proc = subprocess.run([sys.executable, "-c", CALLS, json.dumps(argvs)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls[7][2] == 0
+    assert calls[:7] == first and calls[8:] == first
+
+
+# Counts the ArgumentParsers built by importing the CLI and by 100 calls.
+COUNT_PARSERS = """
+import argparse, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import ctrldep.cli
+print(built)
+for _ in range(100):
+    assert ctrldep.cli.main(sys.argv[1:]) == 0
+print(built)
+"""
+
+
+def test_parser_is_built_on_the_first_call_only(fig3_file, tmp_path):
+    # Import builds none, so set-up pays nothing for the parser; the root
+    # and its five subcommands are built once, whatever the number of calls.
+    argv = ["analyze", "--input", fig3_file, "--algo", "ntscd-new", "--output", str(tmp_path / "out.json")]
+    proc = subprocess.run([sys.executable, "-c", COUNT_PARSERS, *argv], capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "6"]
