@@ -31,12 +31,14 @@ class Cfg:
         preds:  per-node tuple of predecessor indices (exact transpose of
                 ``succs``, duplicates preserved).
         n_edges: the number of edges.
+        predicate_nodes: indices of the predicates, in node order, found
+                once at construction; ``predicate_indices`` reads them.
 
     Construction is the one graph validator: ValueError on a duplicate label,
     or on an edge ``#k`` with an undeclared endpoint or a third out-edge.
     """
 
-    __slots__ = ("labels", "index", "succs", "preds", "n_edges")
+    __slots__ = ("labels", "index", "succs", "preds", "n_edges", "predicate_nodes")
 
     def __init__(self, labels: Sequence[str], edges: Sequence[tuple[str, str]]) -> None:
         self.labels = labels = tuple(labels)
@@ -66,6 +68,7 @@ class Cfg:
         self.succs = tuple(map(tuple, succ_lists))
         self.preds = tuple(map(tuple, pred_lists))
         self.n_edges = sum(map(len, succ_lists))
+        self.predicate_nodes = tuple(i for i, ss in enumerate(succ_lists) if len(ss) == 2 and ss[0] != ss[1])
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -84,9 +87,9 @@ class Cfg:
         return f"Cfg(nodes={len(self.labels)}, edges={self.n_edges})"
 
 
-def predicate_indices(g: Cfg) -> list[int]:
+def predicate_indices(g: Cfg) -> tuple[int, ...]:
     """Indices of nodes with exactly two out-edges to distinct targets, in node order."""
-    return [i for i, ss in enumerate(g.succs) if len(ss) == 2 and ss[0] != ss[1]]
+    return g.predicate_nodes
 
 
 def node_indices(g: Cfg, labels: Iterable[str]) -> list[int]:

@@ -20,6 +20,7 @@ import os
 import shlex
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
@@ -55,9 +56,10 @@ class RunOptions(NamedTuple):
 DEFAULT_OPTIONS = RunOptions()
 
 
-# Each kind of relation as labels, from the distinct index rows an
-# algorithm's ``run`` returns: (p, n) for NTSCD, (p, a, b) with each pair
-# {a, b} once per p for DOD, and node indices for a closure.
+# Each kind of relation as labels, from the index rows an algorithm's
+# ``run`` returns: distinct (p, n) for NTSCD, (p, A, B) blocks for DOD
+# (every pair across A and B, each pair in one block of p), and node
+# indices for a closure.
 LABELS: dict[str, Callable[[Cfg, Collection], frozenset]] = {
     "ntscd": ntscd_labels,
     "dod": dod_labels,
@@ -158,9 +160,8 @@ def _relation_json(g: Cfg, kind: str, rows: Collection) -> str:
     """The indent-2 JSON array of a relation's index rows, sorted by label.
 
     Only the labels the rows name are ranked and encoded, once each, so an
-    empty relation costs nothing per label.  Rows sort as integer keys over
-    those ranks, and a DOD pair is written in label order, as the label
-    relation holds it.
+    empty relation costs nothing per label.  NTSCD rows sort as integer
+    keys over those ranks; DOD blocks are written by ``_dod_groups``.
     """
     if not rows:
         return "[]"
@@ -168,22 +169,68 @@ def _relation_json(g: Cfg, kind: str, rows: Collection) -> str:
     if kind == "closure":
         items = [encode_basestring_ascii(labels[i]) for i in sorted(rows, key=labels.__getitem__)]
         return "[\n    " + ",\n    ".join(items) + "\n  ]"
-    named = sorted(set(chain.from_iterable(rows)), key=labels.__getitem__)
-    text = [encode_basestring_ascii(labels[i]) for i in named]
-    k = len(named)
-    rank = [0] * len(labels)
-    for r, i in enumerate(named):
-        rank[i] = r
     if kind == "ntscd":
+        rank, text = _ranks(labels, set(chain.from_iterable(rows)))
+        k = len(text)
         keys = sorted([rank[p] * k + rank[x] for p, x in rows])
         items = [f"{text[key // k]},\n      {text[key % k]}" for key in keys]
     else:
-        kk = k * k
-        keys = sorted(
-            [rank[p] * kk + (rank[a] * k + rank[b] if rank[a] < rank[b] else rank[b] * k + rank[a]) for p, a, b in rows]
-        )
-        items = [f"{text[key // kk]},\n      {text[key // k % k]},\n      {text[key % k]}" for key in keys]
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(items) + "\n    ]\n  ]"
+        items = _dod_groups(labels, rows)
+    return "[\n    [\n      " + _ROW_SEP.join(items) + "\n    ]\n  ]"
+
+
+# Between two rows of a relation array: the row that ends and the one that starts.
+_ROW_SEP = "\n    ],\n    [\n      "
+
+
+def _ranks(labels: Sequence[str], named: set[int]) -> tuple[list[int], list[str]]:
+    """Each named node's rank in label order (indexed by node), and the
+    JSON text of the label of each rank."""
+    order = sorted(named, key=labels.__getitem__)
+    rank = [0] * len(labels)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank, [encode_basestring_ascii(labels[i]) for i in order]
+
+
+def _dod_groups(labels: Sequence[str], blocks: Collection) -> list[str]:
+    """The rows of a DOD relation's array, one string of rows per (p, x):
+    every triple (p, x, y) with x ranked before y, in label order.
+
+    Each block's A and B are sorted by rank once; the partners x ranks
+    before are then a suffix of the other side, found by bisection, so the
+    Python work is per block member and per group, and each pair is only
+    copied, sorted and joined in C.  A pair is written in the group of its
+    earlier member, so each comes once.
+    """
+    named = set()
+    for p, a_side, b_side in blocks:
+        named.add(p)
+        named.update(a_side)
+        named.update(b_side)
+    rank, text = _ranks(labels, named)
+    k = len(text)
+    groups: dict[int, list[int]] = {}
+    for p, a_side, b_side in blocks:
+        base = rank[p] * k
+        a_ranks = sorted(map(rank.__getitem__, a_side))
+        b_ranks = sorted(map(rank.__getitem__, b_side))
+        for mine, other in ((a_ranks, b_ranks), (b_ranks, a_ranks)):
+            # Only the members ranked before the other side's last have partners.
+            for r in mine[: bisect_left(mine, other[-1])]:
+                later = other[bisect_right(other, r) :]
+                got = groups.get(base + r)
+                if got is None:
+                    groups[base + r] = later
+                else:
+                    got.extend(later)
+    items = []
+    for key in sorted(groups):
+        later = groups[key]
+        later.sort()
+        head = f"{text[key // k]},\n      {text[key % k]},\n      "
+        items.append(head + (_ROW_SEP + head).join(map(text.__getitem__, later)))
+    return items
 
 
 def cmd_diff(args: argparse.Namespace) -> int:

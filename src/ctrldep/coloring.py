@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .cfg import Cfg, predicate_indices
@@ -172,6 +173,8 @@ def vp_sets(g: Cfg) -> VpMap:
     pointer moves; a pointer moves only when that grows vp(v), so the
     sweeps end.  Re-examining only the direct predecessors of a moved node
     is not enough: a change deep in a chain moves meets further upstream.
+    A sweep after the last move saw the final pointers, though, so the next
+    sweep ends at that move if it has moved nothing before it.
     """
     n = len(g.labels)
     vp = VpMap(g, [-1] * n)
@@ -180,13 +183,18 @@ def vp_sets(g: Cfg) -> VpMap:
         if ss and ss[0] == ss[-1] != v:  # one distinct successor, not v itself
             parent[v] = ss[0]
     # Graphs mostly declare a node before its successors.
-    branching = [(p, *g.succs[p]) for p in reversed(predicate_indices(g))]
+    succs = g.succs
+    branching = predicate_indices(g)[::-1]
     mark = [0] * n  # stamps: chain(s1) gets gen, the walked part of chain(s2) gen + 1
     gen = 0
-    moved = True
-    while moved:
-        moved = False
-        for v, s1, s2 in branching:
+
+    def sweep(lo: int, hi: int) -> int:
+        """Examine ``branching[lo:hi]`` in order; the position after the
+        last predicate whose pointer moved, 0 if none did."""
+        nonlocal gen
+        end = 0
+        for i, v in enumerate(islice(branching, lo, hi), lo):
+            s1, s2 = succs[v]
             if parent[s1] < 0 and parent[s2] < 0:
                 continue  # two one-node chains never meet
             gen += 2
@@ -202,5 +210,13 @@ def vp_sets(g: Cfg) -> VpMap:
             # next shared node; one on the old parent's chain keeps the set.
             if x >= 0 and mark[x] == gen and x != v and x not in vp.chain(parent[v]):
                 parent[v] = x
-                moved = True
+                end = i + 1
+        return end
+
+    k = end = len(branching)
+    while end:
+        head = end
+        end = sweep(0, head)
+        if end and head < k:
+            end = sweep(head, k) or end
     return vp

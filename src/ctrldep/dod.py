@@ -15,23 +15,25 @@ set and unfold the cycle the projection forms.
 (membership on all maximal paths).
 
 Both are written once, on node indices: ``dod_from_vp_rows`` and
-``dod_formula_rows`` return distinct (p, a, b) index rows, each unordered
-pair {a, b} once per p, and the label functions are ``dod_labels`` of
-those rows.
+``dod_formula_rows`` return blocks (p, A, B) of node indices, A and B
+disjoint tuples without p, each pair drawn across them order-dependent on
+p, and each pair {a, b} in at most one block of p.  A block holds
+|A| * |B| triples in |A| + |B| indices, so the cubic relation is never
+expanded; the label functions are ``dod_labels`` of the blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
-from typing import Iterable, Iterator
+from itertools import groupby
+from typing import Collection, Iterable, Iterator
 
 from .cfg import Cfg, bit_indices, first_hits, node_indices, predicate_indices, reach
 from .coloring import VpMap, vp_sets
 
 DodRelation = frozenset[tuple[str, str, str]]
 
-DodRows = list[tuple[int, int, int]]
+DodBlocks = list[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
 class ProjectionStructureError(RuntimeError):
@@ -201,7 +203,11 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
     O(|C|) per predicate that feeds a cycle; O(1) for the others.
     """
     cycles: dict[int, tuple[tuple[int, ...], set[int]]] = {}
+    parent = vp.parent
     for p in preds:
+        # Most predicates have at most one node past them: no cycle to feed.
+        if parent[p] < 0 or parent[parent[p]] < 0:
+            continue
         c = vp.fed_root(p)
         if c < 0:
             continue
@@ -226,21 +232,25 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
         yield p, into[2], into[1]
 
 
-def dod_labels(g: Cfg, rows: Iterable[tuple[int, int, int]]) -> DodRelation:
-    """The label relation of (p, a, b) index rows, each pair in label order."""
+def dod_labels(g: Cfg, blocks: Iterable[tuple[int, Collection[int], Collection[int]]]) -> DodRelation:
+    """The label relation of (p, A, B) blocks: every pair drawn across A
+    and B, in label order."""
     labels = g.labels
     return frozenset(
-        [(labels[p], x, y) if x < y else (labels[p], y, x) for p, a, b in rows for x, y in ((labels[a], labels[b]),)]
+        [
+            (lp, x, y) if x < y else (lp, y, x)
+            for p, a_side, b_side in blocks
+            for lp in (labels[p],)
+            for x in map(labels.__getitem__, a_side)
+            for y in map(labels.__getitem__, b_side)
+        ]
     )
 
 
-def dod_from_vp_rows(g: Cfg, vp: VpMap) -> DodRows:
-    """DOD from the all-paths pointers: the pairs across each predicate's
+def dod_from_vp_rows(g: Cfg, vp: VpMap) -> DodBlocks:
+    """DOD from the all-paths pointers: one block per predicate, its two
     segments, which are disjoint, so each pair comes once."""
-    out = []
-    for p, m_segment, o_segment in dod_segments(g, vp, predicate_indices(g)):
-        out.extend(product((p,), m_segment, o_segment))
-    return out
+    return list(dod_segments(g, vp, predicate_indices(g)))
 
 
 def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
@@ -248,7 +258,7 @@ def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
     return dod_labels(g, dod_from_vp_rows(g, vp))
 
 
-def dod_formula_rows(g: Cfg, variant: str = "original") -> set[tuple[int, int, int]]:
+def dod_formula_rows(g: Cfg, variant: str = "original") -> DodBlocks:
     """Pairwise-formula DOD: for every predicate p and pair {a, b}, require
     mutual reachability and opposite first-occurrence orders from the two
     branches.
@@ -261,16 +271,22 @@ def dod_formula_rows(g: Cfg, variant: str = "original") -> set[tuple[int, int, i
         raise ValueError(f"unknown variant {variant!r}; expected 'original' or 'fixed'")
     n = len(g.labels)
     if n == 0:
-        return set()
+        return []
     vsets = vp_sets(g).index_sets
     sets = vsets if variant == "fixed" else [reach(g.succs, (v,)) for v in range(n)]
-    mutual = [0] * n
+    # The formula is symmetric: {a, b} passes from a in one orientation
+    # iff it passes from b in the other, so a's block takes only the b
+    # after a in label order, the order the relation is written in.
+    after = [0] * n
+    for r, v in enumerate(sorted(range(n), key=g.labels.__getitem__)):
+        after[v] = r
+    mutual_later = [0] * n
     for a in range(n):
         mask = 0
         for b in sets[a]:
-            if b != a and a in sets[b]:
+            if after[b] > after[a] and a in sets[b]:
                 mask |= 1 << b
-        mutual[a] = mask
+        mutual_later[a] = mask
 
     all_bits = (1 << n) - 1
     first_masks: dict[tuple[int, int], int] = {}
@@ -291,7 +307,7 @@ def dod_formula_rows(g: Cfg, variant: str = "original") -> set[tuple[int, int, i
             first_masks[key] = got
         return got
 
-    out: set[tuple[int, int, int]] = set()
+    out: DodBlocks = []
     for p in predicate_indices(g):
         s1, s2 = g.succs[p]
         # a first from one branch and b first from the other, in both orientations
@@ -300,15 +316,18 @@ def dod_formula_rows(g: Cfg, variant: str = "original") -> set[tuple[int, int, i
         for a in range(n):
             if a == p:
                 continue
-            mm = mutual[a] & not_p
+            mm = mutual_later[a] & not_p
             if not mm:
                 continue
+            later = []
             for sa, sb in orientations:
                 if a not in vsets[sa]:
                     continue
                 for b in bit_indices(mm & first_mask(sa, a)):
                     if b in vsets[sb] and (first_mask(sb, b) >> a) & 1:
-                        out.add((p, a, b) if a < b else (p, b, a))
+                        later.append(b)
+            if later:
+                out.append((p, (a,), tuple(later)))
     return out
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrldep import (
@@ -35,6 +35,7 @@ from ctrldep import (
     worst_case_dod_cfg,
 )
 from ctrldep.coloring import vp_sets
+from ctrldep.dod import dod_labels
 from ctrldep.generate import MAX_NODES, MAX_REDUCIBLE_DEPTH
 from ctrldep.ntscd import ntscd_from_vp
 
@@ -303,7 +304,7 @@ WRONG_DOD_NEW = """
 import sys
 from dataclasses import replace
 from ctrldep import cli
-cli.ALGORITHMS["dod-new"] = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, 0, 0)])
+cli.ALGORITHMS["dod-new"] = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, (0,), (0,))])
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -345,7 +346,7 @@ def counted_check_one(case):
 def test_check_stops_at_the_first_mismatch(tmp_path, monkeypatch):
     # Every graph mismatches.  Serially, check runs one graph; a pool drops
     # the window's graphs not yet sent to a worker instead of running them.
-    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, 0, 0)])
+    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, (0,), (0,))])
     monkeypatch.setitem(cli.ALGORITHMS, "dod-new", wrong)
     monkeypatch.setattr(cli, "_check_one", counted_check_one)
     monkeypatch.chdir(tmp_path)
@@ -535,6 +536,42 @@ def test_analyze_encodes_each_label_it_writes_once(algo, tmp_path, capsys, monke
     encoded.clear()
     cli.report_json(g, algo, key, [], 0)
     assert encoded == []
+
+
+@st.composite
+def dod_block_sets(draw):
+    """A graph whose labels mix ``HOSTILE`` with arbitrary short text, in an
+    index order unrelated to label order, and DOD blocks over it: several
+    blocks per predicate, each pair in at most one of them, sides in
+    arbitrary order and of any size from one."""
+    n = draw(st.integers(3, 12))
+    labels = draw(st.lists(st.sampled_from(HOSTILE) | st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    blocks, used = [], set()
+    for p in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        rest = draw(st.permutations([x for x in range(n) if x != p]))
+        cut = draw(st.integers(1, n - 2))
+        a_side, b_side = tuple(rest[:cut]), tuple(rest[cut : draw(st.integers(cut + 1, n - 1))])
+        pairs = {(p, frozenset((a, b))) for a in a_side for b in b_side}
+        if not pairs & used:
+            used |= pairs
+            blocks.append((p, a_side, b_side))
+    return Cfg(labels, []), blocks
+
+
+# "10" < "9" < "a" in label order.  The blocks interleave, hold singletons, and
+# repeat p, so that the group of "9" under "a" gets its partners out of order.
+@example((Cfg(["a", "9", "10", "x", 'say "hi"'], []), [(0, (3,), (1,)), (0, (2, 4), (1, 3)), (3, (0,), (1, 2))]))
+@settings(max_examples=300, deadline=None)
+@given(dod_block_sets())
+def test_dod_writer_on_blocks_writes_what_json_dumps_writes(case):
+    g, blocks = case
+    report = {
+        "graph": {"nodes": len(g), "edges": 0, "predicates": 0},
+        "algo": "dod-new",
+        "dod": sorted(dod_labels(g, blocks)),
+        "time_us": 3,
+    }
+    assert cli.report_json(g, "dod-new", "dod", blocks, 3) == json.dumps(report, indent=2)
 
 
 GATED = sorted(a for a, row in cli.ALGORITHMS.items() if row.gate is not None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctrldep import (
     Cfg,
+    cli,
     dod_formula,
     dod_new,
     ntscd_new,
@@ -27,6 +29,7 @@ from ctrldep.dod import (
     SuccessorClasses,
     build_ap,
     compute_v1_v2,
+    dod_labels,
     extract_segments,
     match_unfolding_pattern,
     unfold_cycle,
@@ -223,6 +226,53 @@ def test_dod_triples_are_distinct_and_normalized(g):
     for p, a, b in dod_new(g):
         assert a < b
         assert p not in (a, b)
+
+
+DOD_IDS = sorted(a for a, row in cli.ALGORITHMS.items() if row.kind == "dod")
+
+
+def block_relation(g: Cfg, blocks) -> frozenset:
+    """Check the block contract, sides non-empty and disjoint, without p,
+    and each pair in at most one block of p, and return the label relation
+    the blocks expand to, which ``dod_labels`` must give."""
+    pairs = []
+    for p, a_side, b_side in blocks:
+        assert a_side and b_side and not set(a_side) & set(b_side)
+        assert p not in a_side and p not in b_side
+        pairs += [(p, frozenset((a, b))) for a in a_side for b in b_side]
+    assert len(set(pairs)) == len(pairs)
+    labels = g.labels
+    relation = frozenset((labels[p], *sorted(labels[x] for x in pair)) for p, pair in pairs)
+    assert dod_labels(g, blocks) == relation
+    return relation
+
+
+def test_dod_new_blocks_grow_linearly_on_the_worst_case():
+    # The relation is cubic; its blocks are at most one per predicate.
+    for n in (16, 32, 64, 128):
+        blocks = cli.ALGORITHMS["dod-new"].run(worst_case_dod_cfg(n), cli.DEFAULT_OPTIONS)
+        assert len(blocks) <= n // 2
+        assert sum(len(a_side) * len(b_side) for _, a_side, b_side in blocks) == n**3 // 32
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_cfgs(max_nodes=8))
+def test_dod_blocks_keep_their_contract(g):
+    truth = oracle_dod(g)
+    for algo in DOD_IDS:
+        relation = block_relation(g, cli.ALGORITHMS[algo].run(g, cli.DEFAULT_OPTIONS))
+        assert relation >= truth if algo == "dod-formula" else relation == truth
+
+
+def test_dod_blocks_keep_their_contract_on_fed_cycles():
+    # On these graphs the original formula is exact too; the digest is of
+    # the relation every DOD id gave before its rows became blocks.
+    for algo in DOD_IDS:
+        h = hashlib.sha256()
+        for g in fed_cycle_corpus():
+            h.update(repr(sorted(block_relation(g, cli.ALGORITHMS[algo].run(g, cli.DEFAULT_OPTIONS)))).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == "d042642306781af1d9212ea79dfc5f9ff016e71e6e0ac32e36ce2058b9fafa32", algo
 
 
 def staged_dod(g: Cfg) -> frozenset:
