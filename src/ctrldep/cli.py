@@ -500,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--input", required=True)
     analyze.add_argument("--format", choices=("json", "edgelist"), default="json")
     analyze.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    analyze.add_argument("--policy", default="fifo", help="fifo, lifo, or order:n1,n2,... (ntscd-rang only)")
-    analyze.add_argument("--criterion", default="", help="comma-separated node labels (cc only)")
+    analyze.add_argument("--policy", default="fifo", help="fifo, lifo, or order:n1,n2,... (ntscd-rang only; no label with a comma)")
+    analyze.add_argument("--criterion", default="", help="comma-separated node labels (cc only; no label with a comma)")
     analyze.add_argument("--start", default="", help="start node (cc only)")
     analyze.add_argument("--output", default="-")
     analyze.set_defaults(func=cmd_analyze)

@@ -87,7 +87,7 @@ def is_strongly_control_closed(g: Cfg, vset: Iterable[str]) -> ClosureVerdict:
 
 
 def dod_and_ntscd(g: Cfg) -> tuple[DodRelation, NtscdRelation]:
-    """Both whole relations, for ``dependence_closure``, from one pointer sweep."""
+    """Both whole relations, for ``dependence_closure``, from one ``vp_sets`` call."""
     vp = vp_sets(g)
     return dod_from_vp(g, vp), ntscd_from_vp(g, vp)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import cycle
 from typing import Iterable, Iterator
 
 from .cfg import Cfg, predicate_indices
@@ -169,12 +169,11 @@ def vp_sets(g: Cfg) -> VpMap:
     """All-paths sets as parent pointers.  A sink or a self-loop has no
     parent, a node with one distinct successor points to it, and a
     predicate points to the first node of its second successor's chain that
-    is also on its first successor's chain.  Whole sweeps repeat until no
-    pointer moves; a pointer moves only when that grows vp(v), so the
-    sweeps end.  Re-examining only the direct predecessors of a moved node
-    is not enough: a change deep in a chain moves meets further upstream.
-    A sweep after the last move saw the final pointers, though, so the next
-    sweep ends at that move if it has moved nothing before it.
+    is also on its first successor's chain.  The predicates are examined
+    round-robin until one full round of them in a row moves no pointer; a
+    pointer moves only when that grows vp(v), so the rounds end.
+    Re-examining only the direct predecessors of a moved node is not
+    enough: a change deep in a chain moves meets further upstream.
     """
     n = len(g.labels)
     vp = VpMap(g, [-1] * n)
@@ -187,36 +186,27 @@ def vp_sets(g: Cfg) -> VpMap:
     branching = predicate_indices(g)[::-1]
     mark = [0] * n  # stamps: chain(s1) gets gen, the walked part of chain(s2) gen + 1
     gen = 0
-
-    def sweep(lo: int, hi: int) -> int:
-        """Examine ``branching[lo:hi]`` in order; the position after the
-        last predicate whose pointer moved, 0 if none did."""
-        nonlocal gen
-        end = 0
-        for i, v in enumerate(islice(branching, lo, hi), lo):
-            s1, s2 = succs[v]
-            if parent[s1] < 0 and parent[s2] < 0:
-                continue  # two one-node chains never meet
-            gen += 2
-            x = s1
-            while x >= 0 and mark[x] != gen:
-                mark[x] = gen
-                x = parent[x]
-            x = s2
-            while x >= 0 and mark[x] < gen:
-                mark[x] = gen + 1
-                x = parent[x]
-            # Stamp gen + 1 at x: chain(s2) cycled alone.  A meet at v keeps the
-            # next shared node; one on the old parent's chain keeps the set.
-            if x >= 0 and mark[x] == gen and x != v and x not in vp.chain(parent[v]):
-                parent[v] = x
-                end = i + 1
-        return end
-
-    k = end = len(branching)
-    while end:
-        head = end
-        end = sweep(0, head)
-        if end and head < k:
-            end = sweep(head, k) or end
+    k = len(branching)
+    quiet = 0  # predicates examined since the last move
+    for v in cycle(branching):
+        if quiet == k:
+            break
+        quiet += 1
+        s1, s2 = succs[v]
+        if parent[s1] < 0 and parent[s2] < 0:
+            continue  # two one-node chains never meet
+        gen += 2
+        x = s1
+        while x >= 0 and mark[x] != gen:
+            mark[x] = gen
+            x = parent[x]
+        x = s2
+        while x >= 0 and mark[x] < gen:
+            mark[x] = gen + 1
+            x = parent[x]
+        # Stamp gen + 1 at x: chain(s2) cycled alone.  A meet at v keeps the
+        # next shared node; one on the old parent's chain keeps the set.
+        if x >= 0 and mark[x] == gen and x != v and x not in vp.chain(parent[v]):
+            parent[v] = x
+            quiet = 0
     return vp

@@ -25,6 +25,7 @@ expanded; the label functions are ``dod_labels`` of the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from typing import Collection, Iterable, Iterator
 
@@ -185,7 +186,7 @@ def extract_segments(seq: Iterable[str], classes: SuccessorClasses) -> StripSegm
 
 
 def dod_new(g: Cfg) -> DodRelation:
-    """Pointer-cycle DOD, output-optimal: O(|V|^2) per pointer sweep, then
+    """Pointer-cycle DOD, output-optimal: O(|V|^2) per round of ``vp_sets``, then
     ``dod_segments`` over every predicate and the pairs drawn across each
     predicate's two segments."""
     return dod_from_vp(g, vp_sets(g))
@@ -289,23 +290,17 @@ def dod_formula_rows(g: Cfg, variant: str = "original") -> DodBlocks:
         mutual_later[a] = mask
 
     all_bits = (1 << n) - 1
-    first_masks: dict[tuple[int, int], int] = {}
 
+    @cache
     def first_mask(s: int, a: int) -> int:
         # Bits over b: every maximal path from s contains a before any b.
         # Callers guard the "a on all maximal paths from s" conjunct.
-        key = (s, a)
-        got = first_masks.get(key)
-        if got is None:
-            if s == a:
-                got = all_bits & ~(1 << a)
-            else:
-                reached = 0
-                for x in reach(g.succs, (s,), (a,)):
-                    reached |= 1 << x
-                got = all_bits & ~reached & ~(1 << a)
-            first_masks[key] = got
-        return got
+        if s == a:
+            return all_bits & ~(1 << a)
+        reached = 0
+        for x in reach(g.succs, (s,), (a,)):
+            reached |= 1 << x
+        return all_bits & ~reached & ~(1 << a)
 
     out: DodBlocks = []
     for p in predicate_indices(g):

@@ -18,6 +18,7 @@ correctness anchoring, not performance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -49,7 +50,7 @@ def _reach(g: Cfg, start: int, banned: frozenset[int]) -> set[int]:
     return seen
 
 
-def _has_cycle(g: Cfg, nodes: set[int], banned: frozenset[int]) -> bool:
+def _has_cycle(g: Cfg, nodes: set[int]) -> bool:
     """Cycle detection (DFS back edge) on the subgraph induced by ``nodes``."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in nodes}
@@ -60,7 +61,7 @@ def _has_cycle(g: Cfg, nodes: set[int], banned: frozenset[int]) -> bool:
         color[root] = GRAY
         while stack:
             v, i = stack.pop()
-            targets = [t for t in g.succs[v] if t in nodes and t not in banned]
+            targets = [t for t in g.succs[v] if t in nodes]
             if i < len(targets):
                 stack.append((v, i + 1))
                 w = targets[i]
@@ -81,7 +82,7 @@ def _exists_maximal_avoiding_set(g: Cfg, m: int, avoided: frozenset[int]) -> boo
     reached = _reach(g, m, avoided)
     if any(len(g.succs[x]) == 0 for x in reached):
         return True
-    return _has_cycle(g, reached, avoided)
+    return _has_cycle(g, reached)
 
 
 def oracle_exists_maximal_avoiding(g: Cfg, m: str, n: str) -> bool:
@@ -99,15 +100,10 @@ def oracle_ntscd(g: Cfg) -> frozenset[tuple[str, str]]:
     """
     _check_budget(g, ORACLE_MAX_NODES)
     labels = g.labels
-    memo: dict[tuple[int, int], bool] = {}
 
+    @cache
     def on_all(s: int, n: int) -> bool:
-        key = (s, n)
-        got = memo.get(key)
-        if got is None:
-            got = not _exists_maximal_avoiding_set(g, s, frozenset((n,)))
-            memo[key] = got
-        return got
+        return not _exists_maximal_avoiding_set(g, s, frozenset((n,)))
 
     out = set()
     for p in predicate_indices(g):
@@ -142,24 +138,14 @@ def oracle_dod(g: Cfg) -> frozenset[tuple[str, str, str]]:
     _check_budget(g, ORACLE_MAX_NODES)
     labels = g.labels
     n = len(labels)
-    avoid_memo: dict[tuple[int, int], bool] = {}
-    fb_memo: dict[tuple[int, int, int], bool] = {}
 
+    @cache
     def on_all(s: int, x: int) -> bool:
-        key = (s, x)
-        got = avoid_memo.get(key)
-        if got is None:
-            got = not _exists_maximal_avoiding_set(g, s, frozenset((x,)))
-            avoid_memo[key] = got
-        return got
+        return not _exists_maximal_avoiding_set(g, s, frozenset((x,)))
 
+    @cache
     def fb(s: int, x: int, y: int) -> bool:
-        key = (s, x, y)
-        got = fb_memo.get(key)
-        if got is None:
-            got = _first_before(g, s, x, y)
-            fb_memo[key] = got
-        return got
+        return _first_before(g, s, x, y)
 
     out = set()
     for p in predicate_indices(g):
@@ -231,15 +217,8 @@ def oracle_min_closure(g: Cfg, w: Iterable[str]) -> MinClosureResult:
         for x in _reach(g, v, frozenset()):
             mask |= 1 << x
         reach_masks.append(mask)
-    closed: list[frozenset[int]] = []
-    for bits in range(1 << len(free)):
-        candidate = set(base)
-        for j, node in enumerate(free):
-            if (bits >> j) & 1:
-                candidate.add(node)
-        cand = frozenset(candidate)
-        if _is_strongly_closed(g, cand, reach_masks):
-            closed.append(cand)
+    candidates = (base.union(extra) for r in range(len(free) + 1) for extra in combinations(free, r))
+    closed = [c for c in candidates if _is_strongly_closed(g, c, reach_masks)]
     minimal = [c for c in closed if not any(o < c for o in closed)]
     best = min(closed, key=lambda c: (len(c), sorted(c)))
     to_labels = lambda s: frozenset(g.labels[i] for i in s)

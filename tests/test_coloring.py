@@ -16,7 +16,7 @@ from ctrldep.coloring import Coloring, vp_sets
 from ctrldep.ntscd import ntscd_new_rows
 from ctrldep.oracle import oracle_exists_maximal_avoiding
 
-from conftest import diamond_ladder, small_cfgs
+from conftest import diamond_ladder, fed_cycle_corpus, small_cfgs
 
 
 def color(g: Cfg, targets) -> frozenset[str]:
@@ -157,6 +157,48 @@ def test_vp_sets_match_one_propagation_per_node(shape):
     vp = vp_sets(g)
     assert vp.index_sets == [frozenset(s) for s in expected]
     assert all(p != v for v, p in enumerate(vp.parent))  # -1, never itself, for no parent
+
+
+def sweep_fixpoint(g: Cfg) -> list[int]:
+    """``vp_sets``' pointers by the plain fixpoint of its meet rule: whole
+    sweeps over the reversed predicates until a sweep moves nothing."""
+    parent = [-1] * len(g)
+    for v, ss in enumerate(g.succs):
+        if ss and ss[0] == ss[-1] != v:
+            parent[v] = ss[0]
+
+    def chain(v: int) -> list[int]:
+        out: list[int] = []
+        while v >= 0 and v not in out:
+            out.append(v)
+            v = parent[v]
+        return out
+
+    moved = True
+    while moved:
+        moved = False
+        for v in reversed(predicate_indices(g)):
+            s1, s2 = g.succs[v]
+            on_s1 = set(chain(s1))
+            meet = next((x for x in chain(s2) if x in on_s1), -1)
+            if meet >= 0 and meet != v and meet not in chain(parent[v]):
+                parent[v] = meet
+                moved = True
+    return parent
+
+
+def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep():
+    # vp_sets stops once every predicate in a row has been examined
+    # without a move, mid-sweep; that must be the state a whole quiet
+    # sweep ends in, pointer for pointer, not just the same sets.
+    graphs = [random_cfg(n, e, s) for n in range(1, 61) for e in (n // 2, n, 3 * n // 2, 2 * n) for s in range(9)]
+    graphs += [random_reducible_cfg(depth, seed) for depth in range(9) for seed in range(3)]
+    graphs += [worst_case_dod_cfg(n) for n in range(8, 129, 4)]
+    graphs += fed_cycle_corpus()
+    graphs += [diamond_ladder(r, closed, arm) for r in range(1, 21) for closed in (False, True) for arm in (1, 2)]
+    assert len(graphs) >= 2000
+    for g in graphs:
+        assert vp_sets(g).parent == sweep_fixpoint(g)
 
 
 @settings(max_examples=80, deadline=None)
