@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, fields
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from random import Random
-from typing import Callable, Collection, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .cfg import Cfg, ParseError, parse_cfg, predicate_indices, serialize_cfg
 from .closures import ClosureSpec, ClosureSpecError, closure_labels, strong_closure_nodes
@@ -119,14 +119,35 @@ def _load_graph(path: str, fmt: str) -> Cfg:
         return parse_cfg(fh.read(), fmt)
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+# A write takes at least this many characters of chunks, so a small report
+# is one write, and a large one holds about this much text at a time.
+WRITE_CHARS = 1 << 16
+
+
+def _write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write text ``chunks`` as they come, joined into writes of at least
+    ``WRITE_CHARS`` characters but for the last, to the file at ``path``
+    or, for "-", to stdout, where text that does not end in a newline gets
+    one."""
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+        batch: list[str] = []
+        size = 0
+        text = ""
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_CHARS:
+                text = "".join(batch)
+                # Free the chunks before the write encodes a third copy.
+                batch.clear()
+                del chunk
+                size = 0
+                fh.write(text)
+        if batch:
+            text = "".join(batch)
             fh.write(text)
+        if path == "-" and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -141,41 +162,46 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     start = time.perf_counter_ns()
     rows = algo.run(g, opts)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    _write_text(args.output, report_json(g, args.algo, algo.kind, rows, elapsed_us))
+    _write_chunks(args.output, report_json(g, args.algo, algo.kind, rows, elapsed_us))
     return 0
 
 
-def report_json(g: Cfg, algo_id: str, kind: str, rows: Collection, elapsed_us: int) -> str:
-    """The ``analyze`` report, byte for byte what ``json.dumps(report,
-    indent=2)`` writes for {"graph": {"nodes", "edges", "predicates"},
-    "algo", kind: the sorted label relation, "time_us"}."""
-    return (
+def report_json(g: Cfg, algo_id: str, kind: str, rows: Collection, elapsed_us: int) -> Iterator[str]:
+    """The ``analyze`` report in chunks: the head, the relation's pieces,
+    then the ``time_us`` tail.  Joined, they are byte for byte what
+    ``json.dumps(report, indent=2)`` writes for {"graph": {"nodes",
+    "edges", "predicates"}, "algo", kind: the sorted label relation,
+    "time_us"}; no chunk holds the whole relation of a DOD."""
+    yield (
         f'{{\n  "graph": {{\n    "nodes": {len(g)},\n    "edges": {g.n_edges},\n'
         f'    "predicates": {len(predicate_indices(g))}\n  }},\n  "algo": {json.dumps(algo_id)},\n'
-        f'  {json.dumps(kind)}: {_relation_json(g, kind, rows)},\n  "time_us": {elapsed_us}\n}}'
+        f"  {json.dumps(kind)}: "
     )
-
-
-def _relation_json(g: Cfg, kind: str, rows: Collection) -> str:
-    """The indent-2 JSON array of a relation's index rows, sorted by label.
-
-    Only the labels the rows name are ranked and encoded, once each, so an
-    empty relation costs nothing per label.  NTSCD rows sort as integer
-    keys over those ranks; DOD blocks are written by ``_dod_groups``.
-    """
     if not rows:
-        return "[]"
-    labels = g.labels
+        yield "[]"
+    elif kind == "dod":
+        yield from _dod_chunks(g.labels, rows)
+    else:
+        yield _relation_json(g.labels, kind, rows)
+    yield f',\n  "time_us": {elapsed_us}\n}}'
+
+
+def _relation_json(labels: Sequence[str], kind: str, rows: Collection) -> str:
+    """The indent-2 JSON array of a non-empty NTSCD relation's or
+    closure's index rows, sorted by label, as one chunk.
+
+    Only the labels the rows name are ranked and encoded, once each.
+    NTSCD rows sort as integer keys over those ranks.  Returning the chunk,
+    rather than yielding it, frees the row strings before the writer joins
+    it.
+    """
     if kind == "closure":
         items = [encode_basestring_ascii(labels[i]) for i in sorted(rows, key=labels.__getitem__)]
         return "[\n    " + ",\n    ".join(items) + "\n  ]"
-    if kind == "ntscd":
-        rank, text = _ranks(labels, set(chain.from_iterable(rows)))
-        k = len(text)
-        keys = sorted([rank[p] * k + rank[x] for p, x in rows])
-        items = [f"{text[key // k]},\n      {text[key % k]}" for key in keys]
-    else:
-        items = _dod_groups(labels, rows)
+    rank, text = _ranks(labels, set(chain.from_iterable(rows)))
+    k = len(text)
+    keys = sorted([rank[p] * k + rank[x] for p, x in rows])
+    items = [f"{text[key // k]},\n      {text[key % k]}" for key in keys]
     return "[\n    [\n      " + _ROW_SEP.join(items) + "\n    ]\n  ]"
 
 
@@ -193,15 +219,18 @@ def _ranks(labels: Sequence[str], named: set[int]) -> tuple[list[int], list[str]
     return rank, [encode_basestring_ascii(labels[i]) for i in order]
 
 
-def _dod_groups(labels: Sequence[str], blocks: Collection) -> list[str]:
-    """The rows of a DOD relation's array, one string of rows per (p, x):
-    every triple (p, x, y) with x ranked before y, in label order.
+def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
+    """The indent-2 JSON array of a DOD relation's blocks, in chunks of
+    whole (p, x) groups: every triple (p, x, y) with x ranked before y, in
+    label order.
 
-    Each block's A and B are sorted by rank once; the partners x ranks
-    before are then a suffix of the other side, found by bisection, so the
-    Python work is per block member and per group, and each pair is only
-    copied, sorted and joined in C.  A pair is written in the group of its
-    earlier member, so each comes once.
+    Each block's A and B are sorted by rank once.  The partners x ranks
+    before in a block are a suffix of the other side, found by bisection,
+    so a side's label texts are looked up once, in rank order, and only if
+    it has a partner to give; a group is then a slice of them, joined in C.
+    A pair is written in the group of its earlier member, so each comes
+    once.  A group that draws partners from more than one block, which
+    ``dod-new`` and the formula ids never yield, has them merged by rank.
     """
     named = set()
     for p, a_side, b_side in blocks:
@@ -210,27 +239,53 @@ def _dod_groups(labels: Sequence[str], blocks: Collection) -> list[str]:
         named.update(b_side)
     rank, text = _ranks(labels, named)
     k = len(text)
-    groups: dict[int, list[int]] = {}
+    # Each group's first block: the other side's ranks and texts, and where its partners start.
+    groups: dict[int, tuple[list[int], list[str], int]] = {}
+    merged: dict[int, list[int]] = {}
     for p, a_side, b_side in blocks:
         base = rank[p] * k
         a_ranks = sorted(map(rank.__getitem__, a_side))
         b_ranks = sorted(map(rank.__getitem__, b_side))
         for mine, other in ((a_ranks, b_ranks), (b_ranks, a_ranks)):
             # Only the members ranked before the other side's last have partners.
-            for r in mine[: bisect_left(mine, other[-1])]:
-                later = other[bisect_right(other, r) :]
-                got = groups.get(base + r)
-                if got is None:
-                    groups[base + r] = later
-                else:
-                    got.extend(later)
-    items = []
+            stop = bisect_left(mine, other[-1])
+            if not stop:
+                continue
+            other_text = list(map(text.__getitem__, other))
+            for r in mine[:stop]:
+                key = base + r
+                start = bisect_right(other, r)
+                if key not in groups:
+                    groups[key] = other, other_text, start
+                    continue
+                if key not in merged:
+                    first, _, first_start = groups[key]
+                    merged[key] = first[first_start:]
+                merged[key] += other[start:]
+    # Groups are gathered into chunks of about ``WRITE_CHARS`` characters:
+    # a chunk per group costs more than the formula ids' small groups do.
+    pending: list[str] = []
+    size = 0
+    lead = "[\n    [\n      "
     for key in sorted(groups):
-        later = groups[key]
-        later.sort()
         head = f"{text[key // k]},\n      {text[key % k]},\n      "
-        items.append(head + (_ROW_SEP + head).join(map(text.__getitem__, later)))
-    return items
+        later = merged.get(key)
+        if later is None:
+            _, other_text, start = groups[key]
+            partners = other_text[start:]
+        else:
+            later.sort()
+            partners = list(map(text.__getitem__, later))
+        body = (_ROW_SEP + head).join(partners)
+        pending += (lead + head, body)
+        size += len(body)
+        if size >= WRITE_CHARS:
+            yield "".join(pending)
+            pending.clear()
+            size = 0
+        lead = _ROW_SEP
+    pending.append("\n    ]\n  ]")
+    yield "".join(pending)
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -279,7 +334,7 @@ def make_graph(shape: str, sizes: Sequence[int | None], seed: int) -> Cfg:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     g = make_graph(args.shape, [getattr(args, name) for name in SHAPES[args.shape][0]], args.seed)
-    _write_text(args.output, serialize_cfg(g, args.format))
+    _write_chunks(args.output, (serialize_cfg(g, args.format),))
     return 0
 
 

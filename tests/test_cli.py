@@ -9,6 +9,8 @@ import resource
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -511,7 +513,7 @@ def test_analyze_writes_what_json_dumps_writes(algo, tmp_path, capsys):
     assert (sizes[0] == 0) == (key != "closure") and min(sizes[1:]) > 0, sizes
     # No request gives an empty closure, so write one directly.
     g = hostile_graphs()[0]
-    assert cli.report_json(g, algo, key, [], 7) == library_report(g, algo, key, ()).replace('"time_us": 0', '"time_us": 7')
+    assert "".join(cli.report_json(g, algo, key, [], 7)) == library_report(g, algo, key, ()).replace('"time_us": 0', '"time_us": 7')
 
 
 @pytest.mark.parametrize("algo", sorted(cli.ALGORITHMS))
@@ -534,7 +536,7 @@ def test_analyze_encodes_each_label_it_writes_once(algo, tmp_path, capsys, monke
         named = set(relation) if key == "closure" else {x for row in relation for x in row}
         assert sorted(encoded) == sorted(named)
     encoded.clear()
-    cli.report_json(g, algo, key, [], 0)
+    "".join(cli.report_json(g, algo, key, [], 0))
     assert encoded == []
 
 
@@ -561,6 +563,15 @@ def dod_block_sets(draw):
 # "10" < "9" < "a" in label order.  The blocks interleave, hold singletons, and
 # repeat p, so that the group of "9" under "a" gets its partners out of order.
 @example((Cfg(["a", "9", "10", "x", 'say "hi"'], []), [(0, (3,), (1,)), (0, (2, 4), (1, 3)), (3, (0,), (1, 2))]))
+# b < c < d < e < f < g < h < q in label order, not in index order.  The
+# group of "b" under "q" draws partners from three blocks, one of which has
+# b on its B side: c, f, then d, g, then h, e, which interleave in rank.
+@example(
+    (
+        Cfg(["q", "f", "b", "d", "h", "c", "g", "e"], []),
+        [(0, (2,), (1, 5)), (0, (3, 6), (2,)), (0, (2,), (4, 7))],
+    )
+)
 @settings(max_examples=300, deadline=None)
 @given(dod_block_sets())
 def test_dod_writer_on_blocks_writes_what_json_dumps_writes(case):
@@ -571,7 +582,71 @@ def test_dod_writer_on_blocks_writes_what_json_dumps_writes(case):
         "dod": sorted(dod_labels(g, blocks)),
         "time_us": 3,
     }
-    assert cli.report_json(g, "dod-new", "dod", blocks, 3) == json.dumps(report, indent=2)
+    assert "".join(cli.report_json(g, "dod-new", "dod", blocks, 3)) == json.dumps(report, indent=2)
+
+
+def test_analyze_peak_memory_is_a_fraction_of_its_output(tmp_path, record_property):
+    # Deterministic: tracemalloc counts the bytes Python allocates, not
+    # RSS.  The report is written as it is made, so nothing in the call
+    # holds the whole relation.  The timing is recorded, never asserted.
+    graph, out = tmp_path / "g.json", tmp_path / "out.json"
+    graph.write_text(serialize_cfg(worst_case_dod_cfg(128)))
+    argv = ["analyze", "--input", str(graph), "--algo", "dod-new", "--output", str(out)]
+    assert cli.main(argv) == 0  # the parser is built on the first call
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    record_property("analyze_ms", round(elapsed_ms, 1))
+    record_property("peak_over_output", round(peak / size, 3))
+    assert len(json.loads(out.read_text())["dod"]) == 128**3 // 32
+    assert peak < size / 4, (peak, size)
+
+
+def test_analyze_ends_stdout_with_one_newline_and_a_file_with_none(fig7, tmp_path, capsys):
+    graph, out = tmp_path / "g.json", tmp_path / "out.json"
+    graph.write_text(serialize_cfg(fig7))
+    for algo in sorted(cli.ALGORITHMS):
+        argv = analyze_argv(fig7, graph, algo)
+        assert cli.main(argv + ["--output", "-"]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("}\n") and not text.endswith("\n\n"), algo
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_text().endswith("}"), algo
+        assert without_time(out.read_text()) == without_time(text), algo
+
+
+@pytest.mark.parametrize("fmt", ["json", "edgelist"])
+def test_gen_writes_the_serialized_graph(fmt, tmp_path, capsys):
+    # JSON text has no newline of its own, so stdout gets one; edgelist
+    # text ends in one, so stdout gets no second.  A file gets the text.
+    g = worst_case_dod_cfg(8)
+    text = serialize_cfg(g, fmt)
+    argv = ["gen", "--shape", "dod-worst", "--nodes", "8", "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
+    out = tmp_path / "g.txt"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert out.read_text() == text
+
+
+def test_analyze_to_a_directory_exits_2_and_writes_nothing(fig7, tmp_path):
+    graph, target = tmp_path / "g.json", tmp_path / "out"
+    graph.write_text(serialize_cfg(fig7))
+    target.mkdir()
+    proc = run_cli("analyze", "--input", str(graph), "--algo", "dod-new", "--output", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "out"]
+    assert list(target.iterdir()) == []
 
 
 GATED = sorted(a for a, row in cli.ALGORITHMS.items() if row.gate is not None)
