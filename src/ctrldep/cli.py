@@ -58,8 +58,8 @@ DEFAULT_OPTIONS = RunOptions()
 
 # Each kind of relation as labels, from the index rows an algorithm's
 # ``run`` returns: distinct (p, n) for NTSCD, (p, A, B) blocks for DOD
-# (every pair across A and B, each pair in one block of p), and node
-# indices for a closure.
+# (every pair across A and B, under the contract ``ctrldep.dod`` states),
+# and node indices for a closure.
 LABELS: dict[str, Callable[[Cfg, Collection], frozenset]] = {
     "ntscd": ntscd_labels,
     "dod": dod_labels,
@@ -119,34 +119,21 @@ def _load_graph(path: str, fmt: str) -> Cfg:
         return parse_cfg(fh.read(), fmt)
 
 
-# A write takes at least this many characters of chunks, so a small report
-# is one write, and a large one holds about this much text at a time.
+# A DOD report is written in chunks of whole (p, x) groups of about this
+# many characters, so a large report holds about this much text at a time.
 WRITE_CHARS = 1 << 16
 
 
 def _write_chunks(path: str, chunks: Iterable[str]) -> None:
-    """Write text ``chunks`` as they come, joined into writes of at least
-    ``WRITE_CHARS`` characters but for the last, to the file at ``path``
-    or, for "-", to stdout, where text that does not end in a newline gets
-    one."""
+    """Write text ``chunks`` as they come, through the file object's buffer,
+    to the file at ``path`` or, for "-", to stdout, where text that does
+    not end in a newline gets one."""
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
-        batch: list[str] = []
-        size = 0
-        text = ""
+        last = ""
         for chunk in chunks:
-            batch.append(chunk)
-            size += len(chunk)
-            if size >= WRITE_CHARS:
-                text = "".join(batch)
-                # Free the chunks before the write encodes a third copy.
-                batch.clear()
-                del chunk
-                size = 0
-                fh.write(text)
-        if batch:
-            text = "".join(batch)
-            fh.write(text)
-        if path == "-" and not text.endswith("\n"):
+            fh.write(chunk)
+            last = chunk[-1:] or last
+        if path == "-" and last != "\n":
             fh.write("\n")
 
 
@@ -192,8 +179,7 @@ def _relation_json(labels: Sequence[str], kind: str, rows: Collection) -> str:
 
     Only the labels the rows name are ranked and encoded, once each.
     NTSCD rows sort as integer keys over those ranks.  Returning the chunk,
-    rather than yielding it, frees the row strings before the writer joins
-    it.
+    rather than yielding it, frees the row strings before it is written.
     """
     if kind == "closure":
         items = [encode_basestring_ascii(labels[i]) for i in sorted(rows, key=labels.__getitem__)]
@@ -221,16 +207,16 @@ def _ranks(labels: Sequence[str], named: set[int]) -> tuple[list[int], list[str]
 
 def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
     """The indent-2 JSON array of a DOD relation's blocks, in chunks of
-    whole (p, x) groups: every triple (p, x, y) with x ranked before y, in
-    label order.
+    whole (p, x) groups of about ``WRITE_CHARS`` characters: every triple
+    (p, x, y) with x ranked before y, in label order.
 
     Each block's A and B are sorted by rank once.  The partners x ranks
     before in a block are a suffix of the other side, found by bisection,
     so a side's label texts are looked up once, in rank order, and only if
     it has a partner to give; a group is then a slice of them, joined in C.
     A pair is written in the group of its earlier member, so each comes
-    once.  A group that draws partners from more than one block, which
-    ``dod-new`` and the formula ids never yield, has them merged by rank.
+    once.  The block contract (``ctrldep.dod``) gives a group one block;
+    blocks that break it raise RuntimeError.
     """
     named = set()
     for p, a_side, b_side in blocks:
@@ -239,9 +225,8 @@ def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
         named.update(b_side)
     rank, text = _ranks(labels, named)
     k = len(text)
-    # Each group's first block: the other side's ranks and texts, and where its partners start.
-    groups: dict[int, tuple[list[int], list[str], int]] = {}
-    merged: dict[int, list[int]] = {}
+    # Each group's block: the other side's texts, and where its partners start.
+    groups: dict[int, tuple[list[str], int]] = {}
     for p, a_side, b_side in blocks:
         base = rank[p] * k
         a_ranks = sorted(map(rank.__getitem__, a_side))
@@ -254,14 +239,9 @@ def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
             other_text = list(map(text.__getitem__, other))
             for r in mine[:stop]:
                 key = base + r
-                start = bisect_right(other, r)
-                if key not in groups:
-                    groups[key] = other, other_text, start
-                    continue
-                if key not in merged:
-                    first, _, first_start = groups[key]
-                    merged[key] = first[first_start:]
-                merged[key] += other[start:]
+                if key in groups:
+                    raise RuntimeError(f"DOD blocks give {text[r]} under {text[rank[p]]} partners from two blocks")
+                groups[key] = other_text, bisect_right(other, r)
     # Groups are gathered into chunks of about ``WRITE_CHARS`` characters:
     # a chunk per group costs more than the formula ids' small groups do.
     pending: list[str] = []
@@ -269,14 +249,8 @@ def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
     lead = "[\n    [\n      "
     for key in sorted(groups):
         head = f"{text[key // k]},\n      {text[key % k]},\n      "
-        later = merged.get(key)
-        if later is None:
-            _, other_text, start = groups[key]
-            partners = other_text[start:]
-        else:
-            later.sort()
-            partners = list(map(text.__getitem__, later))
-        body = (_ROW_SEP + head).join(partners)
+        other_text, start = groups[key]
+        body = (_ROW_SEP + head).join(other_text[start:])
         pending += (lead + head, body)
         size += len(body)
         if size >= WRITE_CHARS:

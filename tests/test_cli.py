@@ -543,35 +543,29 @@ def test_analyze_encodes_each_label_it_writes_once(algo, tmp_path, capsys, monke
 @st.composite
 def dod_block_sets(draw):
     """A graph whose labels mix ``HOSTILE`` with arbitrary short text, in an
-    index order unrelated to label order, and DOD blocks over it: several
-    blocks per predicate, each pair in at most one of them, sides in
-    arbitrary order and of any size from one."""
+    index order unrelated to label order, and DOD blocks over it in the two
+    shapes the block contract allows: for each predicate, either one block,
+    its sides in arbitrary order and of any size from one, or one (a,)
+    block per a, holding only partners after a in label order."""
     n = draw(st.integers(3, 12))
     labels = draw(st.lists(st.sampled_from(HOSTILE) | st.text(max_size=3), min_size=n, max_size=n, unique=True))
-    blocks, used = [], set()
-    for p in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+    blocks = []
+    for p in draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True)):
         rest = draw(st.permutations([x for x in range(n) if x != p]))
-        cut = draw(st.integers(1, n - 2))
-        a_side, b_side = tuple(rest[:cut]), tuple(rest[cut : draw(st.integers(cut + 1, n - 1))])
-        pairs = {(p, frozenset((a, b))) for a in a_side for b in b_side}
-        if not pairs & used:
-            used |= pairs
-            blocks.append((p, a_side, b_side))
+        if draw(st.booleans()):
+            cut = draw(st.integers(1, n - 2))
+            blocks.append((p, tuple(rest[:cut]), tuple(rest[cut : draw(st.integers(cut + 1, n - 1))])))
+            continue
+        for a in draw(st.lists(st.sampled_from(rest), unique=True)):
+            later = [b for b in rest if labels[b] > labels[a]]
+            if later:
+                blocks.append((p, (a,), tuple(draw(st.lists(st.sampled_from(later), min_size=1, unique=True)))))
     return Cfg(labels, []), blocks
 
 
-# "10" < "9" < "a" in label order.  The blocks interleave, hold singletons, and
-# repeat p, so that the group of "9" under "a" gets its partners out of order.
-@example((Cfg(["a", "9", "10", "x", 'say "hi"'], []), [(0, (3,), (1,)), (0, (2, 4), (1, 3)), (3, (0,), (1, 2))]))
-# b < c < d < e < f < g < h < q in label order, not in index order.  The
-# group of "b" under "q" draws partners from three blocks, one of which has
-# b on its B side: c, f, then d, g, then h, e, which interleave in rank.
-@example(
-    (
-        Cfg(["q", "f", "b", "d", "h", "c", "g", "e"], []),
-        [(0, (2,), (1, 5)), (0, (3, 6), (2,)), (0, (2,), (4, 7))],
-    )
-)
+# "10" < "9" < "a" < 'say "hi"' < "x" in label order, not in index order:
+# one block under "a", and one (a,) block per a under "x".
+@example((Cfg(["a", "9", "10", "x", 'say "hi"'], []), [(0, (2, 4), (1, 3)), (3, (2,), (1, 0)), (3, (1,), (4, 0))]))
 @settings(max_examples=300, deadline=None)
 @given(dod_block_sets())
 def test_dod_writer_on_blocks_writes_what_json_dumps_writes(case):
@@ -583,6 +577,23 @@ def test_dod_writer_on_blocks_writes_what_json_dumps_writes(case):
         "time_us": 3,
     }
     assert "".join(cli.report_json(g, "dod-new", "dod", blocks, 3)) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # The group of "9" under "a" takes "x" from one block and 'say "hi"' from another.
+        (Cfg(["a", "9", "10", "x", 'say "hi"'], []), [(0, (3,), (1,)), (0, (2, 4), (1, 3)), (3, (0,), (1, 2))]),
+        # The group of "b" under "q" draws from three blocks, on both sides.
+        (Cfg(["q", "f", "b", "d", "h", "c", "g", "e"], []), [(0, (2,), (1, 5)), (0, (3, 6), (2,)), (0, (2,), (4, 7))]),
+    ],
+)
+def test_dod_writer_refuses_blocks_that_break_the_contract(case):
+    # Each pair is in one block, but a node draws its later partners from
+    # two blocks of p: a fault of the producer, not of the input.
+    g, blocks = case
+    with pytest.raises(RuntimeError, match="from two blocks"):
+        "".join(cli.report_json(g, "dod-new", "dod", blocks, 3))
 
 
 def test_analyze_peak_memory_is_a_fraction_of_its_output(tmp_path, record_property):
@@ -624,15 +635,19 @@ def test_analyze_ends_stdout_with_one_newline_and_a_file_with_none(fig7, tmp_pat
 @pytest.mark.parametrize("fmt", ["json", "edgelist"])
 def test_gen_writes_the_serialized_graph(fmt, tmp_path, capsys):
     # JSON text has no newline of its own, so stdout gets one; edgelist
-    # text ends in one, so stdout gets no second.  A file gets the text.
-    g = worst_case_dod_cfg(8)
-    text = serialize_cfg(g, fmt)
-    argv = ["gen", "--shape", "dod-worst", "--nodes", "8", "--format", fmt]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
-    out = tmp_path / "g.txt"
-    assert cli.main(argv + ["--output", str(out)]) == 0
-    assert out.read_text() == text
+    # text ends in one, so stdout gets no second, but the empty graph's
+    # edgelist is empty text, so stdout gets one.  A file gets the text.
+    cases = [
+        (["dod-worst", "--nodes", "8"], serialize_cfg(worst_case_dod_cfg(8), fmt)),
+        (["random", "--nodes", "0", "--edges", "0"], {"json": '{"nodes":[],"edges":[]}', "edgelist": ""}[fmt]),
+    ]
+    for shape, text in cases:
+        argv = ["gen", "--shape", *shape, "--format", fmt]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
+        out = tmp_path / "g.txt"
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert out.read_text() == text
 
 
 def test_analyze_to_a_directory_exits_2_and_writes_nothing(fig7, tmp_path):
