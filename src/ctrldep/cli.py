@@ -158,19 +158,21 @@ def report_json(g: Cfg, algo_id: str, kind: str, rows: Collection, elapsed_us: i
     then the ``time_us`` tail.  Joined, they are byte for byte what
     ``json.dumps(report, indent=2)`` writes for {"graph": {"nodes",
     "edges", "predicates"}, "algo", kind: the sorted label relation,
-    "time_us"}; no chunk holds the whole relation of a DOD."""
-    yield (
+    "time_us"}; no chunk holds the whole relation of a DOD.  The rows are
+    grouped, and a DOD's blocks checked, in this call, so a producer fault
+    raises before any chunk is written."""
+    if not rows:
+        relation: Iterable[str] = ("[]",)
+    elif kind == "dod":
+        relation = _dod_chunks(g.labels, rows)
+    else:
+        relation = (_relation_json(g.labels, kind, rows),)
+    head = (
         f'{{\n  "graph": {{\n    "nodes": {len(g)},\n    "edges": {g.n_edges},\n'
         f'    "predicates": {len(predicate_indices(g))}\n  }},\n  "algo": {json.dumps(algo_id)},\n'
         f"  {json.dumps(kind)}: "
     )
-    if not rows:
-        yield "[]"
-    elif kind == "dod":
-        yield from _dod_chunks(g.labels, rows)
-    else:
-        yield _relation_json(g.labels, kind, rows)
-    yield f',\n  "time_us": {elapsed_us}\n}}'
+    return chain((head,), relation, (f',\n  "time_us": {elapsed_us}\n}}',))
 
 
 def _relation_json(labels: Sequence[str], kind: str, rows: Collection) -> str:
@@ -216,7 +218,8 @@ def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
     it has a partner to give; a group is then a slice of them, joined in C.
     A pair is written in the group of its earlier member, so each comes
     once.  The block contract (``ctrldep.dod``) gives a group one block;
-    blocks that break it raise RuntimeError.
+    blocks that break it raise RuntimeError.  The groups are made, and the
+    contract checked, in this call; the chunks as they are read.
     """
     named = set()
     for p, a_side, b_side in blocks:
@@ -242,6 +245,12 @@ def _dod_chunks(labels: Sequence[str], blocks: Collection) -> Iterator[str]:
                 if key in groups:
                     raise RuntimeError(f"DOD blocks give {text[r]} under {text[rank[p]]} partners from two blocks")
                 groups[key] = other_text, bisect_right(other, r)
+    return _group_chunks(text, groups)
+
+
+def _group_chunks(text: list[str], groups: dict[int, tuple[list[str], int]]) -> Iterator[str]:
+    """The DOD array text of ``_dod_chunks``' groups, in key order."""
+    k = len(text)
     # Groups are gathered into chunks of about ``WRITE_CHARS`` characters:
     # a chunk per group costs more than the formula ids' small groups do.
     pending: list[str] = []

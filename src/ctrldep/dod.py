@@ -16,12 +16,12 @@ set and unfold the cycle the projection forms.
 
 Both are written once, on node indices: ``dod_from_vp_rows`` and
 ``dod_formula_rows`` return blocks (p, A, B) of node indices, A and B
-disjoint tuples without p, each pair drawn across them order-dependent on
-p.  The block contract, which the ``analyze`` writer relies on: a node
-takes its partners that come after it in label order from at most one
-block of p, so each pair {a, b} is in at most one block of p.
-``dod_from_vp_rows`` yields one block per p; ``dod_formula_rows`` one
-(a,) block per (p, a), holding only the b after a.  A block holds
+disjoint tuples of distinct nodes without p, each pair drawn across them
+order-dependent on p.  The block contract, which the ``analyze`` writer
+relies on: a node takes its partners that come after it in label order
+from at most one block of p, so each pair {a, b} is in at most one block
+of p.  ``dod_from_vp_rows`` yields one block per p; ``dod_formula_rows``
+one (a,) block per (p, a), holding only the b after a.  A block holds
 |A| * |B| triples in |A| + |B| indices, so the cubic relation is never
 expanded; the label functions are ``dod_labels`` of the blocks.
 """

@@ -590,10 +590,11 @@ def test_dod_writer_on_blocks_writes_what_json_dumps_writes(case):
 )
 def test_dod_writer_refuses_blocks_that_break_the_contract(case):
     # Each pair is in one block, but a node draws its later partners from
-    # two blocks of p: a fault of the producer, not of the input.
+    # two blocks of p: a fault of the producer, not of the input.  It
+    # raises in the call, before any chunk, so no partial report is written.
     g, blocks = case
     with pytest.raises(RuntimeError, match="from two blocks"):
-        "".join(cli.report_json(g, "dod-new", "dod", blocks, 3))
+        cli.report_json(g, "dod-new", "dod", blocks, 3)
 
 
 def test_analyze_peak_memory_is_a_fraction_of_its_output(tmp_path, record_property):

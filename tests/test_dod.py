@@ -233,9 +233,10 @@ DOD_IDS = sorted(a for a, row in cli.ALGORITHMS.items() if row.kind == "dod")
 
 def block_relation(g: Cfg, blocks) -> frozenset:
     """Check the block contract, sides non-empty and disjoint, without p,
+    each pair in at most one block of p (a side may not repeat a node),
     and each node's partners after it in label order drawn from at most one
-    block of p, so each pair in at most one block of p, and return the
-    label relation the blocks expand to, which ``dod_labels`` must give."""
+    block of p, and return the label relation the blocks expand to, which
+    ``dod_labels`` must give."""
     labels = g.labels
     pairs, givers = [], []
     for p, a_side, b_side in blocks:
@@ -245,6 +246,7 @@ def block_relation(g: Cfg, blocks) -> frozenset:
         for mine, other in ((a_side, b_side), (b_side, a_side)):
             last = max(map(labels.__getitem__, other))
             givers += [(p, x) for x in mine if labels[x] < last]
+    assert len(set(pairs)) == len(pairs)
     assert len(set(givers)) == len(givers)
     relation = frozenset((labels[p], *sorted(labels[x] for x in pair)) for p, pair in pairs)
     assert dod_labels(g, blocks) == relation
