@@ -23,7 +23,7 @@ import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from random import Random
@@ -433,18 +433,6 @@ def _dump_mismatch(g: Cfg, failures: list[str], path: str) -> None:
     print(f"replay: ctrldep check --input {shlex.quote(path)}")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    algo: str
-    shape: str
-    nodes: int
-    edges: int
-    seed: int
-    reps: int
-    mean_us: float
-    min_us: float
-
-
 def time_algorithm(fn: Callable[[Cfg], object], g: Cfg, reps: int) -> tuple[float, float]:
     """Mean and minimum wall time in microseconds over ``reps`` runs.
 
@@ -459,22 +447,25 @@ def time_algorithm(fn: Callable[[Cfg], object], g: Cfg, reps: int) -> tuple[floa
 
 
 def _parse_sweep(text: str) -> Sequence[int | None]:
-    """Sweep syntax: a plain integer, or 'start..stop:step' (inclusive, kept
-    a lazy range); an empty flag sweeps the one value None.  Used as an
+    """Sweep syntax: a plain integer, or 'start..stop[:step]' (inclusive,
+    kept a lazy range); an empty flag sweeps the one value None.  Used as an
     argparse type, so a bad sweep is a usage error that names its flag."""
     if not text:
         return [None]
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return [int(text)]
         span, _, step_text = text.partition(":")
         start_text, _, stop_text = span.partition("..")
-        step = int(step_text) if step_text else 1
-        if step <= 0:
-            raise argparse.ArgumentTypeError("sweep step must be positive")
-        values = range(int(start_text), int(stop_text) + 1, step)
-        if not values:
-            raise argparse.ArgumentTypeError(f"range {text!r} sweeps no values")
-        return values
-    return [int(text)]
+        start, stop, step = int(start_text), int(stop_text), int(step_text or 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer or start..stop[:step]") from None
+    if step <= 0:
+        raise argparse.ArgumentTypeError("sweep step must be positive")
+    values = range(start, stop + 1, step)
+    if not values:
+        raise argparse.ArgumentTypeError(f"range {text!r} sweeps no values")
+    return values
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -499,28 +490,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Cross only the sweeps the shape reads, so each graph is built once, all before any timing.
     sweeps = (getattr(args, name) for name in SHAPES[args.shape][0])
     cells = [make_graph(args.shape, sizes, args.seed) for sizes in product(*sweeps)]
-    records = []
+    rows = []
     for algo_id in algos:
         run = ALGORITHMS[algo_id].run
         for g in cells:
             mean_us, min_us = time_algorithm(lambda gg: run(gg, DEFAULT_OPTIONS), g, args.reps)
-            records.append(
-                BenchRecord(
-                    algo=algo_id,
-                    shape=args.shape,
-                    nodes=len(g),
-                    edges=g.n_edges,
-                    seed=args.seed,
-                    reps=args.reps,
-                    mean_us=round(mean_us, 1),
-                    min_us=round(min_us, 1),
-                )
+            rows.append(
+                (algo_id, args.shape, len(g), g.n_edges, args.seed, args.reps, round(mean_us, 1), round(min_us, 1))
             )
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(BenchRecord))
-        writer.writerows(astuple(r) for r in records)
-    print(f"wrote {len(records)} rows to {args.csv}")
+        writer.writerow(("algo", "shape", "nodes", "edges", "seed", "reps", "mean_us", "min_us"))
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 
 
@@ -572,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="timing sweep written as CSV")
     bench.add_argument("--shape", default="random", choices=SHAPES)
-    bench.add_argument("--nodes", default="500", type=_parse_sweep, help="int or start..stop:step")
-    bench.add_argument("--edges", default="", type=_parse_sweep, help="int or start..stop:step (random shape)")
-    bench.add_argument("--depth", default="", type=_parse_sweep, help="int or start..stop:step (reducible shape)")
+    bench.add_argument("--nodes", default="500", type=_parse_sweep, help="int or start..stop[:step]")
+    bench.add_argument("--edges", default="", type=_parse_sweep, help="int or start..stop[:step] (random shape)")
+    bench.add_argument("--depth", default="", type=_parse_sweep, help="int or start..stop[:step] (reducible shape)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--reps", type=int, default=10)
     bench.add_argument("--algos", required=True, help="comma-separated algorithm ids")

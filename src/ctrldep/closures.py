@@ -10,8 +10,8 @@ it is exactly the minimal strongly control-closed superset.
 
 ``strong_closure`` computes that closure on demand, without either whole
 relation: one backward propagation (``Coloring.controllers``) per node it
-takes in, and the DOD segments (``dod_segments``, shared with ``dod_new``)
-of only the root cycles it holds two nodes of.  It is ``closure_labels`` of
+takes in, and the DOD blocks of ``dod_new`` (``dod_from_vp_rows``), read
+once, not expanded into triples.  It is ``closure_labels`` of
 ``strong_closure_nodes``, which works on node indices.
 ``dependence_closure`` over the whole relations of ``dod_and_ntscd`` is the
 reference.
@@ -23,9 +23,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cfg import Cfg, first_hits, node_indices, predicate_indices, reach
+from .cfg import Cfg, first_hits, node_indices, reach
 from .coloring import Coloring, vp_sets
-from .dod import DodRelation, dod_from_vp, dod_segments
+from .dod import DodRelation, dod_from_vp, dod_from_vp_rows
 from .ntscd import NtscdRelation, ntscd_from_vp
 
 
@@ -141,11 +141,11 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
 
     A worklist over the closure: each node x that joins costs one O(|E|)
     propagation, whose predicates with exactly one member successor
-    control x.  A DOD triple (p, a, b) has a and b on the root cycle p
-    feeds, one in each of its segments; once the closure holds two nodes
-    of a cycle, the segments of the predicates feeding it are read, and p
-    joins when the closure holds a node of each.  Beyond the all-paths
-    pointers, O(|closure| * |E|) plus the segments read.
+    control x.  For DOD, p joins once the closure holds a node of each of
+    the two segments of p's block in ``dod_from_vp_rows``, read once before
+    the worklist starts: two first-hit searches and O(|C|) per predicate
+    feeding a cycle C, inside the O(|V|^2) per round of ``vp_sets``.
+    Beyond that, O(|closure| * |E|).
     """
     start = node_indices(g, (spec.start,))[0]
     w = node_indices(g, spec.w)
@@ -159,13 +159,11 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
         )
     vp = vp_sets(g)
     controllers = Coloring(g).controllers
-    unread: dict[int, list[int]] = defaultdict(list)  # fed cycle -> its predicates, until read
-    for p in predicate_indices(g):
-        c = vp.fed_root(p)
-        if c >= 0:
-            unread[c].append(p)
-    pending: dict[int, int] = {}  # fed cycle -> its one closure node so far
     watch: dict[int, list[tuple[int, int]]] = defaultdict(list)  # node -> (predicate, segment bit)
+    for p, m_segment, o_segment in dod_from_vp_rows(g, vp):
+        for entry, segment in (((p, 1), m_segment), ((p, 2), o_segment)):
+            for y in segment:
+                watch[y].append(entry)
     held = [0] * len(g)  # per predicate, the bits of the segments the closure holds a node of
     inside = bytearray(len(g))
     queue: list[int] = []
@@ -175,30 +173,16 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
             inside[x] = 1
             queue.append(x)
 
-    def fire(x: int) -> None:
-        for p, bit in watch.get(x, ()):
-            held[p] |= bit
-            if held[p] == 3:
-                join(p)
-
     for x in w:
         join(x)
     while queue:
         x = queue.pop()
         for p in controllers(x):
             join(p)
-        c = vp.root_cycle.get(x, -1) if unread else -1
-        if c in unread:
-            if c not in pending:
-                pending[c] = x
-                continue
-            # A pair on this cycle is in: read its predicates' segments.
-            for p, m_segment, o_segment in dod_segments(g, vp, unread.pop(c)):
-                for bit, segment in ((1, m_segment), (2, o_segment)):
-                    for y in segment:
-                        watch[y].append((p, bit))
-            fire(pending.pop(c))
-        fire(x)
+        for p, bit in watch.get(x, ()):
+            held[p] |= bit
+            if held[p] == 3:
+                join(p)
     return [i for i, flag in enumerate(inside) if flag]
 
 

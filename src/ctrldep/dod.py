@@ -1,14 +1,14 @@
 """Decisive order dependence.
 
-``dod_segments`` takes each predicate p whose all-paths set is p feeding
-one root cycle of the all-paths pointers (``VpMap.fed_root``), classifies
-the cycle nodes by which branch of p reaches them first, and reads off the
-two class-crossing cycle segments.  ``dod_from_vp``, behind ``dod_new``,
-emits every pair drawn across them; the strong closure reads the segments
-of only the cycles it holds two nodes of.  ``build_ap``, ``compute_v1_v2``,
-``unfold_cycle``, ``match_unfolding_pattern`` and ``extract_segments`` are
-the staged reference, on labels: they project the graph onto the all-paths
-set and unfold the cycle the projection forms.
+``dod_from_vp_rows`` takes each predicate p whose all-paths set is p
+feeding one root cycle of the all-paths pointers (``VpMap.fed_root``),
+classifies the cycle nodes by which branch of p reaches them first, and
+reads off the two class-crossing cycle segments.  ``dod_from_vp``, behind
+``dod_new``, emits every pair drawn across them; the strong closure reads
+the same segments once, before its worklist starts.  ``build_ap``,
+``compute_v1_v2``, ``unfold_cycle``, ``match_unfolding_pattern`` and
+``extract_segments`` are the staged reference, on labels: they project the
+graph onto the all-paths set and unfold the cycle the projection forms.
 
 ``dod_formula`` is the classic pairwise formula, in its original form
 (plain reachability, known to over-approximate) and the repaired form
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable
 
 from .cfg import Cfg, bit_indices, first_hits, node_indices, predicate_indices, reach
 from .coloring import VpMap, vp_sets
@@ -191,15 +191,16 @@ def extract_segments(seq: Iterable[str], classes: SuccessorClasses) -> StripSegm
 
 def dod_new(g: Cfg) -> DodRelation:
     """Pointer-cycle DOD, output-optimal: O(|V|^2) per round of ``vp_sets``, then
-    ``dod_segments`` over every predicate and the pairs drawn across each
+    ``dod_from_vp_rows`` over every predicate and the pairs drawn across each
     predicate's two segments."""
     return dod_from_vp(g, vp_sets(g))
 
 
-def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(p, m_segment, o_segment) for each predicate p of ``preds`` that has
-    order-dependent pairs, as node indices: every pair drawn across the two
-    segments, and no other, is order-dependent on p.
+def dod_from_vp_rows(g: Cfg, vp: VpMap) -> DodBlocks:
+    """DOD from the all-paths pointers, as node indices: one block
+    (p, m_segment, o_segment) per predicate p that has order-dependent
+    pairs.  Every pair drawn across the two segments, and no other, is
+    order-dependent on p; the segments are disjoint, so each pair comes once.
 
     p must feed a root cycle C (``VpMap.fed_root``), its two branches must
     first reach disjoint classes of C, and the classes must alternate once
@@ -207,9 +208,10 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
     first of the other, which they exclude.  Two first-hit searches and
     O(|C|) per predicate that feeds a cycle; O(1) for the others.
     """
+    out: DodBlocks = []
     cycles: dict[int, tuple[tuple[int, ...], set[int]]] = {}
     parent = vp.parent
-    for p in preds:
+    for p in predicate_indices(g):
         # Most predicates have at most one node past them: no cycle to feed.
         if parent[p] < 0 or parent[parent[p]] < 0:
             continue
@@ -218,14 +220,14 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
             continue
         if c not in cycles:
             cycle = tuple(vp.chain(c))  # the segments are cyclic, so any start does
-            cycles[c] = cycle, set(cycle)
-        cycle, on_cycle = cycles[c]
+            cycles[c] = cycle, {x: i for i, x in enumerate(cycle)}
+        cycle, position = cycles[c]
         s1, s2 = g.succs[p]
-        v1 = first_hits(g, (s1,), on_cycle)
-        v2 = first_hits(g, (s2,), on_cycle)
+        v1 = first_hits(g, (s1,), position)
+        v2 = first_hits(g, (s2,), position)
         if v1 & v2:
             continue
-        marks = [(i, 1 if x in v1 else 2) for i, x in enumerate(cycle) if x in v1 or x in v2]
+        marks = sorted([(position[x], 1) for x in v1] + [(position[x], 2) for x in v2])
         # One alternation around the cycle is two changes of class.
         changes = [k for k in range(len(marks)) if marks[k][1] != marks[k - 1][1]]
         if len(changes) != 2:
@@ -234,7 +236,8 @@ def dod_segments(g: Cfg, vp: VpMap, preds: Iterable[int]) -> Iterator[tuple[int,
         for k in changes:
             a, b = marks[k - 1][0], marks[k][0]
             into[marks[k][1]] = cycle[a:b] if a < b else cycle[a:] + cycle[:b]
-        yield p, into[2], into[1]
+        out.append((p, into[2], into[1]))
+    return out
 
 
 def dod_labels(g: Cfg, blocks: Iterable[tuple[int, Collection[int], Collection[int]]]) -> DodRelation:
@@ -250,12 +253,6 @@ def dod_labels(g: Cfg, blocks: Iterable[tuple[int, Collection[int], Collection[i
             for y in map(labels.__getitem__, b_side)
         ]
     )
-
-
-def dod_from_vp_rows(g: Cfg, vp: VpMap) -> DodBlocks:
-    """DOD from the all-paths pointers: one block per predicate, its two
-    segments, which are disjoint, so each pair comes once."""
-    return list(dod_segments(g, vp, predicate_indices(g)))
 
 
 def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:

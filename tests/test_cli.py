@@ -871,6 +871,19 @@ def test_bench_empty_sweep_exit_2(flag, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", ["5..", "a", "1..5:x", "..5", "3:2"])
+def test_bench_malformed_sweep_exit_2(sweep, tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    argv = ["bench", "--shape", "random", "--nodes", sweep, "--edges", "5", "--algos", "ntscd-new", "--csv", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --nodes: {sweep!r} is not an integer or start..stop[:step]" in err
+    assert "_parse_sweep" not in err
+    assert not out.exists()
+
+
 # (command, flag value, the value the error names): gen takes one value,
 # bench also a range, which is refused by its largest value.
 DEPTHS_ABOVE_THE_CAP = [
