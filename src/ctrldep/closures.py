@@ -9,10 +9,11 @@ nodes are all reachable from a distinguished start node inside the seed,
 it is exactly the minimal strongly control-closed superset.
 
 ``strong_closure`` computes that closure on demand, without either whole
-relation: one backward propagation (``Coloring.controllers``) per node it
-takes in, and the DOD blocks of ``dod_new`` (``dod_from_vp_rows``), read
-once, not expanded into triples.  It is ``closure_labels`` of
-``strong_closure_nodes``, which works on node indices.
+relation: one backward propagation per node it takes in, in one
+``Coloring.controllers`` pass per worklist round, and the DOD blocks of
+``dod_new`` (``dod_from_vp_rows``), read once, not expanded into
+triples.  It is ``closure_labels`` of ``strong_closure_nodes``, which
+works on node indices.
 ``dependence_closure`` over the whole relations of ``dod_and_ntscd`` is the
 reference.
 """
@@ -139,13 +140,16 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
     reachable from it; those are the hypotheses under which closure under
     NTSCD and DOD coincides with strong control-closedness.
 
-    A worklist over the closure: each node x that joins costs one O(|E|)
-    propagation, whose predicates with exactly one member successor
-    control x.  For DOD, p joins once the closure holds a node of each of
-    the two segments of p's block in ``dod_from_vp_rows``, read once before
-    the worklist starts: two first-hit searches and O(|C|) per predicate
-    feeding a cycle C, inside the O(|V|^2) per round of ``vp_sets``.
-    Beyond that, O(|closure| * |E|).
+    A worklist over the closure, in rounds: each round makes one
+    ``Coloring.controllers`` pass over the nodes that joined in the last,
+    one O(|E|) propagation per node, whose predicates with exactly one
+    member successor control it; the first pass finds, in O(|V| + |E|),
+    the nodes a predicate reaches, the only ones whose in-edges the passes
+    walk.  For DOD, p joins once the closure holds a node of each of the
+    two segments of p's block in ``dod_from_vp_rows``, read once before the
+    worklist starts: two first-hit searches and O(|C|) per predicate
+    feeding a cycle C, inside the O(|V|^2) per round of ``vp_sets``.  Beyond that,
+    O(|closure| * |E|).
     """
     start = node_indices(g, (spec.start,))[0]
     w = node_indices(g, spec.w)
@@ -158,7 +162,6 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
             f"{len(missing)} node(s) unreachable from {spec.start!r}, e.g. {min(missing)!r}"
         )
     vp = vp_sets(g)
-    controllers = Coloring(g).controllers
     watch: dict[int, list[tuple[int, int]]] = defaultdict(list)  # node -> (predicate, segment bit)
     for p, m_segment, o_segment in dod_from_vp_rows(g, vp):
         for entry, segment in (((p, 1), m_segment), ((p, 2), o_segment)):
@@ -175,14 +178,17 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
 
     for x in w:
         join(x)
+    coloring = Coloring(g)
     while queue:
-        x = queue.pop()
-        for p in controllers(x):
+        batch = queue[:]
+        queue.clear()
+        for p, _ in coloring.controllers(batch):
             join(p)
-        for p, bit in watch.get(x, ()):
-            held[p] |= bit
-            if held[p] == 3:
-                join(p)
+        for x in batch:
+            for p, bit in watch.get(x, ()):
+                held[p] |= bit
+                if held[p] == 3:
+                    join(p)
     return [i for i, flag in enumerate(inside) if flag]
 
 

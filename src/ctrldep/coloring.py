@@ -8,7 +8,9 @@ reaches it, and a node with two is stamped "touched" when the first of its
 out-edges is found to lead to a member, and joins when the second is.
 Every edge is inspected at most once per run.
 Stamps are per generation rather than cleared, which keeps repeated runs
-over the same graph cheap; ``ntscd_new`` runs ``controllers`` once per node.
+over the same graph cheap.  ``run`` walks every in-edge; a ``controllers``
+pass, which ``ntscd_new`` makes over every node, walks only in-edges of
+nodes that a predicate reaches, since no controller lies above the others.
 ``vp_sets`` instead finds the all-paths sets as one parent pointer per node.
 
 Propagation walks its own growing list of members, never recursion, so
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .cfg import Cfg, predicate_indices
 
@@ -29,9 +31,9 @@ from .cfg import Cfg, predicate_indices
 class Coloring:
     """Reusable scratch state for seed-set propagations over one graph.
 
-    A run takes two stamp values, ``red`` (a member) and ``red - 1``
-    (touched: one of two out-edges leads to a member); each run advances the
-    generation by two, so every lower stamp means untouched in this run.
+    A propagation takes two stamp values, ``red`` (a member) and ``red - 1``
+    (touched: one of two out-edges leads to a member); each advances the
+    generation by two, so every lower stamp means untouched in it.
 
     Instances are single-invocation-at-a-time scratch; the underlying Cfg
     is immutable and may be shared, so independent instances can run
@@ -44,62 +46,98 @@ class Coloring:
         self._stamp = [0] * len(g.labels)
         self._gen = 0
         self._last_red: list[int] = []
-        self._last_touched: list[int] = []
 
-    def run(self, targets: Iterable[int]) -> list[int]:
-        """Propagate from ``targets``; returns indices of all member nodes.
+    def _propagate(
+        self, seed_sets: Iterable[Sequence[int]], preds: Sequence[Sequence[int]]
+    ) -> tuple[list[int], list[tuple[int, int]]]:
+        """One propagation per seed set of distinct nodes, walking the
+        in-edges listed in ``preds``.  Returns the members of the last one,
+        in the order they joined, and a row (p, i) for every predicate p
+        with exactly one member successor in the i-th: a seed, or a node
+        touched and never made a member.
 
         A member ("red") node is one from which every maximal path hits the
-        target set.  The returned list is also the work queue: each member
-        is appended once and then visits its in-edges.  A node with two
-        out-edges is recorded as touched when the first of them is found
-        to lead to a member.
+        seed set, unless ``preds`` leaves out in-edges.  The member list is
+        also the work queue: each member is appended once and then visits
+        its in-edges.  A node with two out-edges is recorded as touched when
+        the first of them is found to lead to a member; a node whose two
+        edges share a target turns red on the second.
         """
-        self._gen = red = self._gen + 2
-        touched = red - 1
         stamp = self._stamp
         two = self._two
-        preds = self.g.preds
-        red_list: list[int] = []
-        touched_list: list[int] = []
-        for t in targets:
-            if stamp[t] != red:
-                stamp[t] = red
-                red_list.append(t)
-        for s in red_list:
-            for m in preds[s]:
-                st = stamp[m]
-                if st == red:
-                    continue
-                if st != touched and two[m]:
-                    stamp[m] = touched
-                    touched_list.append(m)
-                else:
-                    stamp[m] = red
-                    red_list.append(m)
-        self._last_red = red_list
-        self._last_touched = touched_list
-        return red_list
-
-    def controllers(self, target: int) -> list[int]:
-        """The predicates that NTSCD-control ``target``: one propagation
-        from it, then every predicate with exactly one red successor.  Such
-        a predicate is ``target`` itself or was touched and never turned
-        red; a node whose two edges share a target turns red on the second.
-        O(|E|)."""
-        self.run((target,))
+        succs = self.g.succs
         red = self._gen
-        touched = red - 1
-        stamp = self._stamp
-        out = []
-        ss = self.g.succs[target]
-        if len(ss) == 2 and (stamp[ss[0]] == red) != (stamp[ss[1]] == red):
-            out.append(target)
-        out += [m for m in self._last_touched if stamp[m] == touched]
-        return out
+        rows: list[tuple[int, int]] = []
+        red_list: list[int] = []
+        for i, seeds in enumerate(seed_sets):
+            red += 2
+            touched = red - 1
+            red_list = list(seeds)
+            touched_list: list[int] = []
+            for t in red_list:
+                stamp[t] = red
+            for s in red_list:
+                for m in preds[s]:
+                    st = stamp[m]
+                    if st == red:
+                        continue
+                    if st != touched and two[m]:
+                        stamp[m] = touched
+                        touched_list.append(m)
+                    else:
+                        stamp[m] = red
+                        red_list.append(m)
+            for t in seeds:
+                ss = succs[t]
+                if len(ss) == 2 and (stamp[ss[0]] == red) != (stamp[ss[1]] == red):
+                    rows.append((t, i))
+            if touched_list:
+                rows += [(m, i) for m in touched_list if stamp[m] == touched]
+        self._gen = red
+        return red_list, rows
+
+    def run(self, targets: Iterable[int]) -> list[int]:
+        """Propagate from ``targets`` over every in-edge; returns indices of
+        all member nodes, each once, in the order they joined."""
+        self._last_red, _ = self._propagate((list(dict.fromkeys(targets)),), self.g.preds)
+        return self._last_red
+
+    def controllers(self, targets: Iterable[int]) -> list[tuple[int, int]]:
+        """NTSCD rows (p, i), one batched pass: predicate p controls the
+        i-th target.  One propagation per target, read off at the
+        predicates with exactly one red successor, so rows come by target,
+        each target's in the order its propagation reached them.
+
+        The pass walks in-edges only of R, the nodes some predicate's
+        successor reaches, found once per instance in O(|V| + |E|).  R is
+        closed under successors and holds every predicate successor, so the
+        red and touched status of each predicate's successors, and with it
+        each controller, is that of a full propagation; a target outside R
+        stops at itself and has none.  O(|E|) per target, and O(1) outside
+        R.
+        """
+        return self._propagate(zip(targets), self._walked)[1]
+
+    @cached_property
+    def _walked(self) -> list[tuple[int, ...]]:
+        """``g.preds`` cut down to R, the nodes reached from some predicate's
+        successors: the in-edges of each node of R, and none of any other
+        node.  One forward search, O(|V| + |E|), on the first pass."""
+        succs = self.g.succs
+        preds = self.g.preds
+        walked: list[tuple[int, ...]] = [()] * len(succs)
+        order: list[int] = []
+        for p in self.g.predicate_nodes:
+            order += succs[p]
+        for v in order:
+            if not walked[v]:  # every node of R has an in-edge
+                walked[v] = preds[v]
+                order += succs[v]
+        return walked
 
     def edge_visits(self) -> int:
-        """Reverse-edge inspections made by the last run (at most |E|).
+        """Reverse-edge inspections made by the last ``run`` (at most |E|);
+        ``controllers`` passes do not count.
 
         Each red node visits each of its in-edges exactly once, and no
         other edges are inspected.

@@ -1,13 +1,14 @@
 """Non-termination sensitive control dependence, four ways.
 
-``ntscd_new`` runs ``Coloring.controllers``, one backward propagation
-read off at the predicate successors, for every node; the strong closure
-runs it only for the nodes it takes in.  ``ntscd_from_vp`` derives the same
-relation from the all-paths sets of ``vp_sets``.  ``ntscd_ranganath`` is a
-faithful transcription of the classic forward worklist algorithm, which is
-sensitive to the order nodes are popped and can produce wrong results;
-``ntscd_ranganath_fixed`` repairs it by iterating the loop body over all
-nodes to a fixpoint.
+``ntscd_new`` makes one ``Coloring.controllers`` pass over every node:
+one backward propagation per node, read off at the predicate successors,
+that walks only in-edges of nodes some predicate reaches; the strong
+closure makes one pass per worklist round, over the nodes it takes in.  ``ntscd_from_vp``
+derives the same relation from the all-paths sets of ``vp_sets``.
+``ntscd_ranganath`` is a faithful transcription of the classic forward
+worklist algorithm, which is sensitive to the order nodes are popped and
+can produce wrong results; ``ntscd_ranganath_fixed`` repairs it by
+iterating the loop body over all nodes to a fixpoint.
 
 Each is written once, on node indices: its ``*_rows`` twin returns the
 relation as distinct (p, n) index rows, and the label function is
@@ -41,13 +42,14 @@ def ntscd_labels(g: Cfg, rows: Iterable[tuple[int, int]]) -> NtscdRelation:
 
 
 def ntscd_new_rows(g: Cfg) -> NtscdRows:
-    """Backward-propagation NTSCD; O(|V|^2) and order-independent.
+    """Backward-propagation NTSCD; order-independent, rows by dependent node.
 
-    For each node n, the predicates ``Coloring.controllers`` finds for n
-    control it.
+    One ``Coloring.controllers`` pass over every node: for each node n, the
+    predicates it finds for n control it.  O(|V|^2) in general, and
+    O(|V| + |E|) on a graph without predicates: a propagation walks only
+    in-edges of nodes that a predicate reaches.
     """
-    controllers = Coloring(g).controllers
-    return [(p, t) for t in range(len(g)) for p in controllers(t)]
+    return Coloring(g).controllers(range(len(g)))
 
 
 def ntscd_new(g: Cfg) -> NtscdRelation:

@@ -227,25 +227,34 @@ def fixpoint(g: Cfg, targets) -> set[int]:
 @settings(max_examples=150, deadline=None)
 @given(small_cfgs(max_nodes=8), st.data())
 def test_one_instance_across_many_generations(g, data):
-    # Stamps left by earlier runs (members, and nodes touched once) must
-    # read as untouched in every later run.
+    # Stamps left by earlier runs and passes (members, and nodes touched
+    # once) must read as untouched in every later propagation, whether
+    # full runs, batched controllers passes or single-target passes
+    # follow each other; edge_visits counts the last run only.
     eng = Coloring(g)
     nodes = st.integers(0, len(g) - 1)
+    visits = 0
     for _ in range(data.draw(st.integers(1, 12))):
-        if data.draw(st.booleans()):
+        step = data.draw(st.sampled_from(("run", "batch", "single")))
+        if step == "run":
             targets = data.draw(st.lists(nodes, min_size=1, max_size=4))
             got = eng.run(targets + targets)
             fresh = Coloring(g)
             assert sorted(got) == sorted(fresh.run(targets))
             assert len(got) == len(set(got)) and set(got) == fixpoint(g, targets)
-            assert eng.edge_visits() == fresh.edge_visits()
+            visits = eng.edge_visits()
+            assert visits == fresh.edge_visits()
         else:
-            t = data.draw(nodes)
-            got = eng.controllers(t)
-            red = fixpoint(g, (t,))
-            expected = {p for p in predicate_indices(g) if (g.succs[p][0] in red) != (g.succs[p][1] in red)}
-            assert sorted(got) == sorted(Coloring(g).controllers(t))
-            assert len(got) == len(set(got)) and set(got) == expected
+            targets = data.draw(st.lists(nodes, min_size=1, max_size=6 if step == "batch" else 1))
+            rows = eng.controllers(targets)
+            assert rows == Coloring(g).controllers(targets)
+            assert len(rows) == len(set(rows))
+            assert [i for _, i in rows] == sorted(i for _, i in rows)
+            for i, t in enumerate(targets):
+                red = fixpoint(g, (t,))
+                expected = {p for p in predicate_indices(g) if (g.succs[p][0] in red) != (g.succs[p][1] in red)}
+                assert {p for p, j in rows if j == i} == expected
+            assert eng.edge_visits() == visits
     rows = ntscd_new_rows(g)
     assert len(rows) == len(set(rows))
 
