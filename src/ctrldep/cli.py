@@ -42,7 +42,7 @@ from .ntscd import (
     ntscd_ranganath_fixed_rows,
     ntscd_ranganath_rows,
 )
-from .oracle import ORACLE_MAX_NODES, BudgetError, oracle_dod, oracle_ntscd
+from .oracle import ORACLE_MAX_NODES, BudgetError, oracle_relations
 
 
 class RunOptions(NamedTuple):
@@ -99,9 +99,6 @@ ALGORITHMS: dict[str, Algorithm] = {
     "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula_rows(g, "fixed"), "equal"),
     "cc": Algorithm("closure", lambda g, o: strong_closure_nodes(g, o.spec), None),
 }
-
-ORACLES: dict[str, Callable[[Cfg], frozenset]] = {"ntscd": oracle_ntscd, "dod": oracle_dod}
-
 
 def _parse_policy(text: str) -> WorklistPolicy:
     if text in ("fifo", "lifo"):
@@ -334,7 +331,7 @@ def differential_failures(g: Cfg) -> list[str]:
     """Run every correctness-gated algorithm variant plus the oracle on one
     graph; returns human-readable descriptions of any disagreements, or of
     a variant that raised."""
-    truth = {kind: oracle(g) for kind, oracle in ORACLES.items()}
+    truth = oracle_relations(g)
     failures: list[str] = []
     for algo_id, algo in ALGORITHMS.items():
         if algo.gate is None:
@@ -423,8 +420,8 @@ def _dump_mismatch(g: Cfg, failures: list[str], path: str) -> None:
     print(f"mismatch (graph written to {path}):")
     for line in failures:
         print("  " + line)
-    for kind, oracle in ORACLES.items():
-        print(f"  oracle {kind}:".ljust(22) + json.dumps(sorted(oracle(g))))
+    for kind, truth in oracle_relations(g).items():
+        print(f"  oracle {kind}:".ljust(22) + json.dumps(sorted(truth)))
         for algo_id, algo in ALGORITHMS.items():
             if algo.kind == kind and algo.gate is not None:
                 result = _run_gated(algo, g)

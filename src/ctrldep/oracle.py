@@ -11,6 +11,17 @@ after deleting the avoided nodes, such a path exists exactly when the
 start can reach either a node with no successors in the original graph
 (a finite maximal path) or a cycle (an infinite one).
 
+``oracle_ntscd``, ``oracle_dod`` and ``oracle_relations`` only ever avoid
+one node, so each call builds one set of tables and reads every query from
+them: for each node x, the reach bitmask of every node in G - x (a fixpoint
+over forward successor masks), and the escape mask of x, the nodes s != x
+whose reach in G - x holds a node without successors in G or a node that
+reaches itself.  Nothing is kept across calls.  The per-query predicates
+``oracle_exists_maximal_avoiding`` and ``oracle_first_before`` keep their
+own reach search and cycle search: ``oracle_min_closure`` avoids node sets,
+which the one-node tables do not cover, and the tests compare the tables
+with the per-query answers, so each computation vouches for the other.
+
 All operations refuse graphs above a small node budget; they exist for
 correctness anchoring, not performance.
 """
@@ -18,7 +29,6 @@ correctness anchoring, not performance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -92,6 +102,115 @@ def oracle_exists_maximal_avoiding(g: Cfg, m: str, n: str) -> bool:
     return _exists_maximal_avoiding_set(g, mi, frozenset((ni,)))
 
 
+def _avoid_tables(g: Cfg) -> tuple[list[list[int]], list[int]]:
+    """For each node x: the reach masks of G - x (entry s holds the nodes s
+    reaches without touching x, s itself included; entry x is 0), and the
+    escape mask of x: each s != x with a maximal path that avoids x.  Both
+    are empty on a graph without predicates, which asks no query."""
+    if not predicate_indices(g):
+        return [], []
+    n = len(g.labels)
+    succs = g.succs
+    order = _postorder(g)
+    sinks = sum(1 << v for v in range(n) if not succs[v])
+    reach_by_x: list[list[int]] = []
+    escape_by_x: list[int] = []
+    for x in range(n):
+        # r[x] stays 0, so x cuts every path through it; successors come
+        # first in ``order``, so an acyclic part settles in one pass.
+        r = [0] * n
+        changed = True
+        while changed:
+            changed = False
+            for v in order:
+                if v == x:
+                    continue
+                m = 1 << v
+                for t in succs[v]:
+                    m |= r[t]
+                if m != r[v]:
+                    r[v] = m
+                    changed = True
+        # No entry holds x, so neither a sink x nor a cycle through x counts.
+        ends = sinks
+        for v in range(n):
+            if any(r[t] >> v & 1 for t in succs[v]):
+                ends |= 1 << v
+        escape = 0
+        for s in range(n):
+            if r[s] & ends:
+                escape |= 1 << s
+        reach_by_x.append(r)
+        escape_by_x.append(escape)
+    return reach_by_x, escape_by_x
+
+
+def _postorder(g: Cfg) -> list[int]:
+    """Every node, each after the nodes its depth-first search reached from
+    it first."""
+    out: list[int] = []
+    seen: set[int] = set()
+    for v in range(len(g.labels)):
+        if v not in seen:
+            _visit(g, v, seen, out)
+    return out
+
+
+def _visit(g: Cfg, v: int, seen: set[int], out: list[int]) -> None:
+    # Recursion is safe under the oracle's node budget; a module-level
+    # function, unlike a nested one, leaves no reference cycle behind.
+    seen.add(v)
+    for t in g.succs[v]:
+        if t not in seen:
+            _visit(g, t, seen, out)
+    out.append(v)
+
+
+def _ntscd(g: Cfg, escape: list[int]) -> frozenset[tuple[str, str]]:
+    labels = g.labels
+    out = set()
+    for p in predicate_indices(g):
+        s1, s2 = g.succs[p]
+        for x in range(len(labels)):
+            # On all maximal paths from exactly one successor.
+            if (escape[x] >> s1 ^ escape[x] >> s2) & 1:
+                out.add((labels[p], labels[x]))
+    return frozenset(out)
+
+
+def _dod(g: Cfg, reach: list[list[int]], escape: list[int]) -> frozenset[tuple[str, str, str]]:
+    labels = g.labels
+    n = len(labels)
+
+    def first_before(s: int, a: int) -> int:
+        """A mask whose bit b (for b != a) says that all maximal paths from
+        s contain a before any b: none avoids a, and s reaches no b in G - a
+        (s itself counts as reached unless s is a)."""
+        if escape[a] >> s & 1:
+            return 0
+        return ~reach[a][s]
+
+    out = set()
+    for p in predicate_indices(g):
+        s1, s2 = g.succs[p]
+        on_all = [a for a in range(n) if a != p and not escape[a] >> p & 1]
+        fb1 = {a: first_before(s1, a) for a in on_all}
+        fb2 = {a: first_before(s2, a) for a in on_all}
+        for a, b in combinations(on_all, 2):
+            if (fb1[a] >> b & 1 and fb2[b] >> a & 1) or (fb1[b] >> a & 1 and fb2[a] >> b & 1):
+                x, y = labels[a], labels[b]
+                out.add((labels[p], x, y) if x < y else (labels[p], y, x))
+    return frozenset(out)
+
+
+def oracle_relations(g: Cfg) -> dict[str, frozenset]:
+    """NTSCD and DOD, as ``oracle_ntscd`` and ``oracle_dod`` return them,
+    read from one set of per-node tables."""
+    _check_budget(g, ORACLE_MAX_NODES)
+    reach, escape = _avoid_tables(g)
+    return {"ntscd": _ntscd(g, escape), "dod": _dod(g, reach, escape)}
+
+
 def oracle_ntscd(g: Cfg) -> frozenset[tuple[str, str]]:
     """NTSCD by direct evaluation of its definition.
 
@@ -99,19 +218,7 @@ def oracle_ntscd(g: Cfg) -> frozenset[tuple[str, str]]:
     while the other admits a maximal path avoiding n.
     """
     _check_budget(g, ORACLE_MAX_NODES)
-    labels = g.labels
-
-    @cache
-    def on_all(s: int, n: int) -> bool:
-        return not _exists_maximal_avoiding_set(g, s, frozenset((n,)))
-
-    out = set()
-    for p in predicate_indices(g):
-        s1, s2 = g.succs[p]
-        for n in range(len(labels)):
-            if on_all(s1, n) != on_all(s2, n):
-                out.add((labels[p], labels[n]))
-    return frozenset(out)
+    return _ntscd(g, _avoid_tables(g)[1])
 
 
 def oracle_first_before(g: Cfg, s: str, a: str, b: str) -> bool:
@@ -120,45 +227,19 @@ def oracle_first_before(g: Cfg, s: str, a: str, b: str) -> bool:
         raise ValueError("'a' and 'b' must differ")
     _check_budget(g, ORACLE_MAX_NODES)
     si, ai, bi = node_indices(g, (s, a, b))
-    return _first_before(g, si, ai, bi)
-
-
-def _first_before(g: Cfg, s: int, a: int, b: int) -> bool:
-    if _exists_maximal_avoiding_set(g, s, frozenset((a,))):
+    if _exists_maximal_avoiding_set(g, si, frozenset((ai,))):
         return False
-    if s == b:
+    if si == bi:
         return False
-    if s == a:
+    if si == ai:
         return True
-    return b not in _reach(g, s, frozenset((a,)))
+    return bi not in _reach(g, si, frozenset((ai,)))
 
 
 def oracle_dod(g: Cfg) -> frozenset[tuple[str, str, str]]:
     """DOD by triple enumeration over its three defining conditions."""
     _check_budget(g, ORACLE_MAX_NODES)
-    labels = g.labels
-    n = len(labels)
-
-    @cache
-    def on_all(s: int, x: int) -> bool:
-        return not _exists_maximal_avoiding_set(g, s, frozenset((x,)))
-
-    @cache
-    def fb(s: int, x: int, y: int) -> bool:
-        return _first_before(g, s, x, y)
-
-    out = set()
-    for p in predicate_indices(g):
-        s1, s2 = g.succs[p]
-        for a, b in combinations(range(n), 2):
-            if a == p or b == p:
-                continue
-            if not (on_all(p, a) and on_all(p, b)):
-                continue
-            if (fb(s1, a, b) and fb(s2, b, a)) or (fb(s1, b, a) and fb(s2, a, b)):
-                x, y = labels[a], labels[b]
-                out.add((labels[p], x, y) if x < y else (labels[p], y, x))
-    return frozenset(out)
+    return _dod(g, *_avoid_tables(g))
 
 
 def _theta_bfs(g: Cfg, v: int, inside: frozenset[int]) -> set[int]:

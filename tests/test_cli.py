@@ -28,6 +28,8 @@ from ctrldep import (
     ntscd_new,
     ntscd_ranganath,
     ntscd_ranganath_fixed,
+    oracle_dod,
+    oracle_ntscd,
     parse_cfg,
     predicates,
     random_cfg,
@@ -770,6 +772,34 @@ def _unordered(kind: str, relation, rename=lambda x: x) -> set:
     return {(rename(p), frozenset((rename(a), rename(b)))) for p, a, b in relation}
 
 
+def _order_free_relations(g: Cfg) -> dict[str, tuple[str, frozenset]]:
+    """Each relation that depends on neither node order nor labels, by name:
+    every gated id's and both oracles'."""
+    out = {algo: (cli.ALGORITHMS[algo].kind, cli.ALGORITHMS[algo].relation(g, cli.RunOptions())) for algo in GATED}
+    out["oracle_ntscd"] = ("ntscd", oracle_ntscd(g))
+    out["oracle_dod"] = ("dod", oracle_dod(g))
+    return out
+
+
+def assert_order_and_labels_free(g: Cfg, order, swapped, rename: dict[str, str]) -> None:
+    """Redeclare the nodes in ``order`` (which is also the sweep order of
+    ntscd-rang-fixed and the order edges are listed in) and swap the two
+    out-edges of each node in ``swapped``; labels are kept, so every
+    relation must come out identical.  Then rename the nodes by ``rename``,
+    which moves the smallest label (where unfold_cycle starts): each
+    relation must be the original one mapped through it."""
+    edges = []
+    for a in order:
+        succs = [g.labels[t] for t in g.succs[g.index[a]]]
+        edges += [(a, b) for b in (succs[::-1] if a in swapped else succs)]
+    h = Cfg(order, edges)
+    renamed = Cfg([rename[a] for a in order], [(rename[a], rename[b]) for a, b in edges])
+    expected = _order_free_relations(g)
+    assert _order_free_relations(h) == expected
+    for name, (kind, relation) in _order_free_relations(renamed).items():
+        assert _unordered(kind, relation) == _unordered(kind, expected[name][1], rename.__getitem__), name
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(
@@ -779,33 +809,29 @@ def _unordered(kind: str, relation, rename=lambda x: x) -> set:
     st.data(),
 )
 def test_gated_relations_ignore_node_and_edge_order(g, data):
-    # Redeclare the nodes in a drawn order (which is also the sweep order of
-    # ntscd-rang-fixed and the order edges are listed in) and swap the two
-    # out-edges of a drawn set of nodes; labels are kept, so every gated
-    # relation must come out identical.  Then rename the nodes by a drawn
-    # injective relabelling, which moves the smallest label (where
-    # unfold_cycle starts): the relation must be the original one mapped
-    # through it.  Small random graphs rarely have a DOD triple, so the
-    # worst-case graphs and fed cycles are drawn too.
+    # Small random graphs rarely have a DOD triple, so the worst-case graphs
+    # and fed cycles are drawn too.
     order = data.draw(st.permutations(g.labels))
     swapped = data.draw(st.sets(st.sampled_from(g.labels)))
     fresh = data.draw(
         st.lists(st.text("abnxz079", min_size=1, max_size=3), min_size=len(g), max_size=len(g), unique=True)
     )
-    rename = dict(zip(g.labels, fresh))
-    edges = []
-    for a in order:
-        succs = [g.labels[t] for t in g.succs[g.index[a]]]
-        edges += [(a, b) for b in (succs[::-1] if a in swapped else succs)]
-    h = Cfg(order, edges)
-    renamed = Cfg([rename[a] for a in order], [(rename[a], rename[b]) for a, b in edges])
-    for algo in GATED:
-        row = cli.ALGORITHMS[algo]
-        result = row.relation(g, cli.RunOptions())
-        assert row.relation(h, cli.RunOptions()) == result, algo
-        assert _unordered(row.kind, row.relation(renamed, cli.RunOptions())) == _unordered(
-            row.kind, result, rename.__getitem__
-        ), algo
+    assert_order_and_labels_free(g, order, swapped, dict(zip(g.labels, fresh)))
+
+
+def test_relations_ignore_a_shuffle_and_a_relabelling_on_a_fixed_corpus():
+    # check's own random draws, small fed cycles and the worst cases, each
+    # redeclared in a seeded order under fresh labels whose sorted order is
+    # seeded too; out-edge order is kept.  ntscd-rang is order-sensitive by
+    # design, so it is not among the relations compared.
+    rng = Random(21)
+    corpus = [random_cfg(*case) for case in cli.check_cases(600, 12, 21)]
+    corpus += [fed_cycle_cfg(seed, cycle=(3, 8), feeders=2) for seed in range(60)]
+    corpus += [worst_case_dod_cfg(8), worst_case_dod_cfg(12)]
+    for g in corpus:
+        order = rng.sample(g.labels, len(g))
+        fresh = [f"v{k}" for k in rng.sample(range(10 * len(g)), len(g))]
+        assert_order_and_labels_free(g, order, (), dict(zip(g.labels, fresh)))
 
 
 @pytest.mark.parametrize("command", ["analyze", "diff"])
