@@ -10,7 +10,9 @@ Every edge is inspected at most once per run.
 Stamps are per generation rather than cleared, which keeps repeated runs
 over the same graph cheap.  ``run`` walks every in-edge; a ``controllers``
 pass, which ``ntscd_new`` makes over every node, walks only in-edges of
-nodes that a predicate reaches, since no controller lies above the others.
+nodes that a predicate reaches, since no controller lies above the others,
+and a target entered only by an earlier target's only out-edge copies that
+target's rows instead of propagating.
 ``vp_sets`` instead finds the all-paths sets as one parent pointer per node.
 
 Propagation walks its own growing list of members, never recursion, so
@@ -26,6 +28,43 @@ from itertools import cycle
 from typing import Iterable, Iterator, Sequence
 
 from .cfg import Cfg, predicate_indices
+
+
+def _propagate(
+    red_list: list[int], preds: Sequence[Sequence[int]], stamp: list[int], two: list[bool], red: int
+) -> list[int]:
+    """One propagation from the distinct seeds in ``red_list``, walking the
+    in-edges listed in ``preds``, with stamps ``red`` (a member) and
+    ``red - 1`` (touched) above every earlier one.  Appends the members to
+    ``red_list`` as they join and returns the touched nodes; those still
+    stamped ``red - 1`` have exactly one member successor.
+
+    A member ("red") node is one from which every maximal path hits the
+    seeds, unless ``preds`` leaves out in-edges.  The member list is also
+    the work queue: each member is appended once and then visits its
+    in-edges.  A node with two out-edges is recorded as touched when the
+    first of them is found to lead to a member; a node whose two edges
+    share a target turns red on the second.
+
+    A plain function, not a method: a ``controllers`` pass calls it once
+    per target, and passing the state costs less than reloading it.
+    """
+    touched = red - 1
+    touched_list: list[int] = []
+    for t in red_list:
+        stamp[t] = red
+    for s in red_list:
+        for m in preds[s]:
+            st = stamp[m]
+            if st == red:
+                continue
+            if st != touched and two[m]:
+                stamp[m] = touched
+                touched_list.append(m)
+            else:
+                stamp[m] = red
+                red_list.append(m)
+    return touched_list
 
 
 class Coloring:
@@ -47,76 +86,64 @@ class Coloring:
         self._gen = 0
         self._last_red: list[int] = []
 
-    def _propagate(
-        self, seed_sets: Iterable[Sequence[int]], preds: Sequence[Sequence[int]]
-    ) -> tuple[list[int], list[tuple[int, int]]]:
-        """One propagation per seed set of distinct nodes, walking the
-        in-edges listed in ``preds``.  Returns the members of the last one,
-        in the order they joined, and a row (p, i) for every predicate p
-        with exactly one member successor in the i-th: a seed, or a node
-        touched and never made a member.
+    def run(self, targets: Iterable[int]) -> list[int]:
+        """Propagate from ``targets`` over every in-edge; returns indices of
+        all member nodes, each once, in the order they joined."""
+        self._gen = red = self._gen + 2
+        self._last_red = list(dict.fromkeys(targets))
+        _propagate(self._last_red, self.g.preds, self._stamp, self._two, red)
+        return self._last_red
 
-        A member ("red") node is one from which every maximal path hits the
-        seed set, unless ``preds`` leaves out in-edges.  The member list is
-        also the work queue: each member is appended once and then visits
-        its in-edges.  A node with two out-edges is recorded as touched when
-        the first of them is found to lead to a member; a node whose two
-        edges share a target turns red on the second.
+    def controllers(self, targets: Iterable[int]) -> list[tuple[int, int]]:
+        """NTSCD rows (p, i), one batched pass: predicate p controls the
+        i-th target.  Read off one propagation from the target at the
+        predicates with exactly one member successor: the target itself, or
+        a node the run touched and never made a member.  Rows come grouped
+        by target, in target order.
+
+        A target t entered only from an earlier target u of the pass, by
+        u's only out-edge, copies u's rows, in their order: t has u's
+        controllers.  A maximal path from any node but t hits t iff it hits
+        u, since paths reach t only through u and leave u only for t, so
+        every node but t is a member of both propagations or of neither.
+        And t is a successor of no predicate, u having one out-edge, nor,
+        with no self-loop, of itself; so each predicate's successors have
+        the same status in both.  Along a chain of such nodes in target
+        order, only the first propagates.
+
+        The pass walks in-edges only of R, the nodes some predicate's
+        successor reaches, found once per instance in O(|V| + |E|).  R is
+        closed under successors and holds every predicate successor, so the
+        member and touched status of each predicate's successors, and with
+        it each controller, is that of a full propagation; a target outside
+        R stops at itself and has none.  O(|E|) per propagating target, the
+        rows it copies per other target, and O(1) outside R.
         """
+        preds = self._walked
         stamp = self._stamp
         two = self._two
         succs = self.g.succs
         red = self._gen
         rows: list[tuple[int, int]] = []
-        red_list: list[int] = []
-        for i, seeds in enumerate(seed_sets):
-            red += 2
-            touched = red - 1
-            red_list = list(seeds)
-            touched_list: list[int] = []
-            for t in red_list:
-                stamp[t] = red
-            for s in red_list:
-                for m in preds[s]:
-                    st = stamp[m]
-                    if st == red:
-                        continue
-                    if st != touched and two[m]:
-                        stamp[m] = touched
-                        touched_list.append(m)
-                    else:
-                        stamp[m] = red
-                        red_list.append(m)
-            for t in seeds:
+        spans: dict[int, tuple[int, int]] = {}  # a target with < 2 out-edges -> its rows[a:b]
+        for i, t in enumerate(targets):
+            start = len(rows)
+            ps = preds[t]
+            if len(ps) == 1 and ps[0] in spans:
+                a, b = spans[ps[0]]
+                rows += [(p, i) for p, _ in rows[a:b]]
+            else:
+                red += 2
+                touched_list = _propagate([t], preds, stamp, two, red)
                 ss = succs[t]
                 if len(ss) == 2 and (stamp[ss[0]] == red) != (stamp[ss[1]] == red):
                     rows.append((t, i))
-            if touched_list:
-                rows += [(m, i) for m in touched_list if stamp[m] == touched]
+                if touched_list:
+                    rows += [(m, i) for m in touched_list if stamp[m] == red - 1]
+            if not two[t]:
+                spans[t] = start, len(rows)
         self._gen = red
-        return red_list, rows
-
-    def run(self, targets: Iterable[int]) -> list[int]:
-        """Propagate from ``targets`` over every in-edge; returns indices of
-        all member nodes, each once, in the order they joined."""
-        self._last_red, _ = self._propagate((list(dict.fromkeys(targets)),), self.g.preds)
-        return self._last_red
-
-    def controllers(self, targets: Iterable[int]) -> list[tuple[int, int]]:
-        """NTSCD rows (p, i), one batched pass: predicate p controls the
-        i-th target.  One propagation per target, read off at the
-        predicates with exactly one red successor, so rows come by target,
-        each target's in the order its propagation reached them.
-
-        The pass walks in-edges only of R, the nodes some predicate's
-        successor reaches, found once per instance in O(|V| + |E|).  R is
-        closed under successors and holds every predicate successor, so the
-        red and touched status of each predicate's successors, and with it
-        each controller, is that of a full propagation; a target outside R
-        stops at itself and has none.  O(|E|) per target, and O(1) outside
-        R.
-        """
-        return self._propagate(zip(targets), self._walked)[1]
+        return rows
 
     @cached_property
     def _walked(self) -> list[tuple[int, ...]]:

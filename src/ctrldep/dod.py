@@ -29,7 +29,6 @@ expanded; the label functions are ``dod_labels`` of the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import groupby
 from typing import Collection, Iterable
 
@@ -291,17 +290,20 @@ def dod_formula_rows(g: Cfg, variant: str = "original") -> DodBlocks:
         mutual_later[a] = mask
 
     all_bits = (1 << n) - 1
+    first: dict[int, int] = {}  # s * n + a -> first_mask(s, a)
 
-    @cache
     def first_mask(s: int, a: int) -> int:
         # Bits over b: every maximal path from s contains a before any b.
         # Callers guard the "a on all maximal paths from s" conjunct.
-        if s == a:
-            return all_bits & ~(1 << a)
-        reached = 0
-        for x in reach(g.succs, (s,), (a,)):
-            reached |= 1 << x
-        return all_bits & ~reached & ~(1 << a)
+        key = s * n + a
+        mask = first.get(key)
+        if mask is None:
+            reached = 0
+            if s != a:
+                for x in reach(g.succs, (s,), (a,)):
+                    reached |= 1 << x
+            first[key] = mask = all_bits & ~reached & ~(1 << a)
+        return mask
 
     out: DodBlocks = []
     for p in predicate_indices(g):

@@ -2,13 +2,15 @@
 
 ``ntscd_new`` makes one ``Coloring.controllers`` pass over every node:
 one backward propagation per node, read off at the predicate successors,
-that walks only in-edges of nodes some predicate reaches; the strong
-closure makes one pass per worklist round, over the nodes it takes in.  ``ntscd_from_vp``
-derives the same relation from the all-paths sets of ``vp_sets``.
-``ntscd_ranganath`` is a faithful transcription of the classic forward
-worklist algorithm, which is sensitive to the order nodes are popped and
-can produce wrong results; ``ntscd_ranganath_fixed`` repairs it by
-iterating the loop body over all nodes to a fixpoint.
+that walks only in-edges of nodes some predicate reaches, except that a
+node entered only by an earlier node's only out-edge copies that node's
+rows; the strong closure makes one pass per worklist round, over the nodes
+it takes in.  ``ntscd_from_vp`` derives the same relation from the
+all-paths sets of ``vp_sets``.  ``ntscd_ranganath`` is a faithful
+transcription of the classic forward worklist algorithm, which is
+sensitive to the order nodes are popped and can produce wrong results;
+``ntscd_ranganath_fixed`` repairs it by iterating the loop body over all
+nodes to a fixpoint.
 
 Each is written once, on node indices: its ``*_rows`` twin returns the
 relation as distinct (p, n) index rows, and the label function is
@@ -45,9 +47,13 @@ def ntscd_new_rows(g: Cfg) -> NtscdRows:
     """Backward-propagation NTSCD; order-independent, rows by dependent node.
 
     One ``Coloring.controllers`` pass over every node: for each node n, the
-    predicates it finds for n control it.  O(|V|^2) in general, and
-    O(|V| + |E|) on a graph without predicates: a propagation walks only
-    in-edges of nodes that a predicate reaches.
+    predicates it finds for n control it.  A node entered only by an
+    earlier node's only out-edge has that node's controllers and copies its
+    rows, in their order, so along a chain declared in order only the first
+    node propagates.  Rows come by ascending n.  O(|V|^2) in general;
+    O(|V| + |E|) on a graph without predicates, since a propagation walks
+    only in-edges of nodes that a predicate reaches, and on a loop whose
+    body is one path declared in order.
     """
     return Coloring(g).controllers(range(len(g)))
 

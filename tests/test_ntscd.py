@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrldep import (
     Cfg,
@@ -20,7 +21,7 @@ from ctrldep import (
 )
 from ctrldep.cfg import predicate_indices, reach
 from ctrldep.closures import dependence_closure, dod_and_ntscd
-from ctrldep.coloring import vp_sets
+from ctrldep.coloring import Coloring, vp_sets
 from ctrldep.ntscd import (
     ntscd_from_vp,
     ntscd_from_vp_rows,
@@ -251,3 +252,70 @@ def test_ntscd_new_is_linear_on_a_chain():
         seconds = time.perf_counter() - started
         assert seconds < 0.5, f"ntscd-new on the {len(g)}-node graph took {seconds:.2f}s"
         assert ntscd_labels(g, rows) == expected
+
+
+def test_ntscd_new_is_linear_on_a_loop_body():
+    # One while loop whose body is a 10,000-node path.  Its head h controls
+    # every node but the entry s: the loop may never be left.  Each body
+    # node past the first is entered only from the one before, which has no
+    # other out-edge, so it copies that node's row instead of walking the
+    # loop again.
+    body = [f"b{i:05d}" for i in range(10_000)]
+    labels = ["s", "h", *body, "e"]
+    g = Cfg(labels, [("s", "h"), ("h", body[0]), *zip(body, body[1:]), (body[-1], "h"), ("h", "e")])
+    started = time.perf_counter()
+    rows = ntscd_new_rows(g)
+    seconds = time.perf_counter() - started
+    assert seconds < 0.5, f"ntscd-new on the {len(g)}-node loop took {seconds:.2f}s"
+    assert ntscd_labels(g, rows) == {("h", x) for x in labels if x != "s"}
+
+
+def continuations(g: Cfg) -> list[tuple[int, int]]:
+    """Every (u, t) where u -> t is both u's only out-edge and t's only
+    in-edge, and u != t."""
+    return [(u, ss[0]) for u, ss in enumerate(g.succs) if len(ss) == 1 and ss[0] != u and g.preds[ss[0]] == (u,)]
+
+
+def assert_continuations_share_controllers(g: Cfg, seed: int) -> int:
+    """A continuation has its predecessor's controllers, alone and in the
+    pass over every node; that pass equals one single-target pass per node
+    (which has no earlier target to copy from) and, within budget, the
+    oracle, lists its targets in ascending order, and keeps its relation
+    under a seeded redeclaration and relabelling.  Returns the number of
+    continuations."""
+    pairs = continuations(g)
+    for u, t in pairs:
+        assert {p for p, _ in Coloring(g).controllers([t])} == {p for p, _ in Coloring(g).controllers([u])}
+    rows = ntscd_new_rows(g)
+    targets = [n for _, n in rows]
+    assert targets == sorted(targets)
+    assert len(rows) == len(set(rows))
+    eng = Coloring(g)
+    assert set(rows) == {(p, t) for t in range(len(g)) for p, _ in eng.controllers([t])}
+    relation = ntscd_labels(g, rows)
+    if len(g) <= ORACLE_MAX_NODES:
+        assert relation == oracle_ntscd(g)
+    rng = Random(seed)
+    order = rng.sample(g.labels, len(g))
+    rename = dict(zip(g.labels, (f"v{k}" for k in rng.sample(range(10 * len(g)), len(g)))))
+    edges = [(rename[a], rename[g.labels[t]]) for a in order for t in g.succs[g.index[a]]]
+    shuffled = Cfg([rename[a] for a in order], edges)
+    assert ntscd_new(shuffled) == {(rename[p], rename[n]) for p, n in relation}
+    return len(pairs)
+
+
+def test_continuations_share_controllers_on_structured_graphs():
+    # Chain prefixes and sink tails, cycle segments between feeders, and
+    # ladder arms longer than one node all hold continuations; so do the
+    # whole of a ring and of the prefix ahead of a self-loop.
+    graphs = predicate_free_region_corpus()
+    graphs += [fed_cycle_cfg(seed) for seed in range(120)]
+    graphs += [diamond_ladder(rungs, closed, arm) for rungs in (1, 4) for closed in (False, True) for arm in (1, 3)]
+    counts = [assert_continuations_share_controllers(g, seed) for seed, g in enumerate(graphs)]
+    assert sum(counts) >= 3000 and sum(map(bool, counts)) >= 280
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cfgs(max_nodes=9), st.integers(0, 2**16))
+def test_continuations_share_controllers(g, seed):
+    assert_continuations_share_controllers(g, seed)
