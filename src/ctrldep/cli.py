@@ -16,15 +16,13 @@ import argparse
 import csv
 import functools
 import json
-import os
 import shlex
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable, Collection, Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -318,40 +316,33 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_gated(algo: Algorithm, g: Cfg) -> frozenset | str:
-    """A gated variant's result, or a description of the exception it
-    raised: to ``check``, a variant that raises is a mismatch, not a crash."""
-    try:
-        return algo.relation(g, DEFAULT_OPTIONS)
-    except Exception as exc:
-        return f"raised {type(exc).__name__}: {exc}"
-
-
 def differential_failures(g: Cfg) -> list[str]:
     """Run every correctness-gated algorithm variant plus the oracle on one
     graph; returns human-readable descriptions of any disagreements, or of
     a variant that raised."""
+    return _compare(g)[0]
+
+
+def _compare(g: Cfg) -> tuple[list[str], dict[str, frozenset], dict[str, frozenset | str]]:
+    """``differential_failures``, with the relations compared: the oracle's by kind, each gated id's by id."""
     truth = oracle_relations(g)
     failures: list[str] = []
+    results: dict[str, frozenset | str] = {}
     for algo_id, algo in ALGORITHMS.items():
         if algo.gate is None:
             continue
-        result = _run_gated(algo, g)
+        # To check, a variant that raises is a mismatch, not a crash.
+        try:
+            result = results[algo_id] = algo.relation(g, DEFAULT_OPTIONS)
+        except Exception as exc:
+            result = results[algo_id] = f"raised {type(exc).__name__}: {exc}"
         if isinstance(result, str):
             failures.append(f"{algo_id} {result}")
         elif algo.gate == "equal" and result != truth[algo.kind]:
             failures.append(f"{algo_id} disagrees with the oracle")
         elif algo.gate == "superset" and not result >= truth[algo.kind]:
             failures.append(f"{algo_id} is not a superset of the oracle")
-    return failures
-
-
-# check draws and runs its cases this many at a time, so its memory follows
-# the window, not --count, and it stops within one window of a mismatch.
-CHECK_WINDOW = 1024
-# A pool is sent a window's cases this many at a time; after a mismatch,
-# only the few chunks already sent to its workers still run.
-CHECK_CHUNK = 16
+    return failures, truth, results
 
 
 def check_cases(count: int, max_nodes: int, seed: int) -> Iterator[tuple[int, int, int]]:
@@ -363,71 +354,52 @@ def check_cases(count: int, max_nodes: int, seed: int) -> Iterator[tuple[int, in
         yield n, m, rng.getrandbits(32)
 
 
-def _check_one(case: tuple[int, int, int]) -> list[str]:
-    n, m, gseed = case
-    return differential_failures(random_cfg(n, m, gseed))
-
-
-def worker_count() -> int:
-    """Worker cap from CTRLDEP_THREADS (unset: 1, 0: all cores), never
-    above the core count."""
-    env = os.environ.get("CTRLDEP_THREADS")
-    if env is None:
-        return 1
-    if not env.strip().isdecimal():
-        raise ValueError(f"CTRLDEP_THREADS must be an integer >= 0, got {env!r}")
-    value = int(env)
-    cores = os.cpu_count() or 1
-    return min(value, cores) if value > 0 else cores
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     print("note: ntscd-rang (worklist policy variants) is excluded from correctness gating; it is known-flawed")
     if args.input:
-        g = _load_graph(args.input, args.format)
-        failures = differential_failures(g)
+        graphs: Iterable[Cfg] = (_load_graph(args.input, args.format),)
+        ok = "ok: all algorithm variants agree on the input graph"
+    else:
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
+        if args.max_nodes < 2:
+            raise ValueError(f"--max-nodes must be at least 2, got {args.max_nodes}")
+        if args.max_nodes > ORACLE_MAX_NODES:
+            raise BudgetError(f"--max-nodes {args.max_nodes} exceeds the oracle budget of {ORACLE_MAX_NODES}")
+        # Drawn lazily, so memory does not grow with --count.
+        graphs = (random_cfg(*case) for case in check_cases(args.count, args.max_nodes, args.seed))
+        ok = f"ok: {args.count} graphs, all algorithm variants agree"
+    for g in graphs:
+        failures, truth, results = _compare(g)
         if failures:
-            _dump_mismatch(g, failures, args.fail_out)
+            _dump_mismatch(g, failures, truth, results, args.fail_out)
             return 1
-        print("ok: all algorithm variants agree on the input graph")
-        return 0
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.max_nodes < 2:
-        raise ValueError(f"--max-nodes must be at least 2, got {args.max_nodes}")
-    if args.max_nodes > ORACLE_MAX_NODES:
-        raise BudgetError(f"--max-nodes {args.max_nodes} exceeds the oracle budget of {ORACLE_MAX_NODES}")
-    cases = check_cases(args.count, args.max_nodes, args.seed)
-    # A fork pool starts all of its workers at the first submit.
-    workers = min(worker_count(), args.count)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        while window := list(islice(cases, CHECK_WINDOW)):
-            results = pool.map(_check_one, window, chunksize=CHECK_CHUNK) if pool else map(_check_one, window)
-            for case, failures in zip(window, results):
-                if failures:
-                    if pool:
-                        # Leaving the ``with`` would run the rest of the window first.
-                        pool.shutdown(cancel_futures=True)
-                    _dump_mismatch(random_cfg(*case), failures, args.fail_out)
-                    return 1
-    print(f"ok: {args.count} graphs, all algorithm variants agree")
+    print(ok)
     return 0
 
 
-def _dump_mismatch(g: Cfg, failures: list[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_cfg(g, "json"))
-    print(f"mismatch (graph written to {path}):")
+def _dump_mismatch(g: Cfg, failures: list[str], truth: dict, results: dict, path: str) -> None:
+    """Report a mismatch: the graph written to ``path`` with a replay
+    command, or, if it cannot be written, the reason on stderr; the failures
+    and relations are printed either way."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_cfg(g, "json"))
+        head, replay = f"written to {path}", f"replay: ctrldep check --input {shlex.quote(path)}"
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        head, replay = f"not written to {path}: {exc.strerror}", ""
+    print(f"mismatch (graph {head}):")
     for line in failures:
         print("  " + line)
-    for kind, truth in oracle_relations(g).items():
-        print(f"  oracle {kind}:".ljust(22) + json.dumps(sorted(truth)))
-        for algo_id, algo in ALGORITHMS.items():
-            if algo.kind == kind and algo.gate is not None:
-                result = _run_gated(algo, g)
+    for kind, relation in truth.items():
+        print(f"  oracle {kind}:".ljust(22) + json.dumps(sorted(relation)))
+        for algo_id, result in results.items():
+            if ALGORITHMS[algo_id].kind == kind:
                 shown = result if isinstance(result, str) else json.dumps(sorted(result))
                 print(f"  {algo_id}:".ljust(22) + shown)
-    print(f"replay: ctrldep check --input {shlex.quote(path)}")
+    if replay:
+        print(replay)
 
 
 def time_algorithm(fn: Callable[[Cfg], object], g: Cfg, reps: int) -> tuple[float, float]:
@@ -487,19 +459,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Cross only the sweeps the shape reads, so each graph is built once, all before any timing.
     sweeps = (getattr(args, name) for name in SHAPES[args.shape][0])
     cells = [make_graph(args.shape, sizes, args.seed) for sizes in product(*sweeps)]
-    rows = []
-    for algo_id in algos:
-        run = ALGORITHMS[algo_id].run
-        for g in cells:
-            mean_us, min_us = time_algorithm(lambda gg: run(gg, DEFAULT_OPTIONS), g, args.reps)
-            rows.append(
-                (algo_id, args.shape, len(g), g.n_edges, args.seed, args.reps, round(mean_us, 1), round(min_us, 1))
-            )
+    # Opened before the first timed call, so an unwritable --csv costs no timing.
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("algo", "shape", "nodes", "edges", "seed", "reps", "mean_us", "min_us"))
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.csv}")
+        for algo_id in algos:
+            run = ALGORITHMS[algo_id].run
+            for g in cells:
+                mean_us, min_us = time_algorithm(lambda gg: run(gg, DEFAULT_OPTIONS), g, args.reps)
+                writer.writerow(
+                    (algo_id, args.shape, len(g), g.n_edges, args.seed, args.reps, round(mean_us, 1), round(min_us, 1))
+                )
+    print(f"wrote {len(algos) * len(cells)} rows to {args.csv}")
     return 0
 
 

@@ -313,21 +313,15 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_check_holds_no_case_list(threads, tmp_path):
+def test_check_holds_no_case_list(tmp_path):
     # Every graph mismatches, so check must report the first one; listing
     # 200 million cases first would not fit in the capped address space.
-    # Forked pool workers inherit the wrong row.
-    env = cli_env()
-    env.pop("CTRLDEP_THREADS", None)
-    if threads:
-        env["CTRLDEP_THREADS"] = threads
     proc = subprocess.run(
         [sys.executable, "-c", WRONG_DOD_NEW, "check", "--count", "200000000"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=cli_env(),
         preexec_fn=cap_address_space,
     )
     assert proc.returncode == 1, proc.stderr
@@ -335,35 +329,29 @@ def test_check_holds_no_case_list(threads, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-CHECK_ONE = cli._check_one
+def test_check_stops_at_the_first_mismatch(tmp_path, capsys, monkeypatch):
+    # Every graph mismatches, so check draws one graph, computes its
+    # relations once, and reports those: neither the oracle nor the wrong
+    # variant runs again for the report.
+    calls = []
+    oracle = cli.oracle_relations
 
+    def wrong_run(g, o):
+        calls.append("dod-new")
+        return [(0, (0,), (0,))]
 
-def counted_check_one(case):
-    """``cli._check_one`` that first appends a line to the file named by
-    ``CHECK_CALLS``; defined at module level, so a pool can send it to its
-    forked workers, which append to the same file."""
-    with open(os.environ["CHECK_CALLS"], "a", encoding="utf-8") as fh:
-        fh.write("call\n")
-    return CHECK_ONE(case)
+    def counted_oracle(g):
+        calls.append("oracle")
+        return oracle(g)
 
-
-def test_check_stops_at_the_first_mismatch(tmp_path, monkeypatch):
-    # Every graph mismatches.  Serially, check runs one graph; a pool drops
-    # the window's graphs not yet sent to a worker instead of running them.
-    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, (0,), (0,))])
-    monkeypatch.setitem(cli.ALGORITHMS, "dod-new", wrong)
-    monkeypatch.setattr(cli, "_check_one", counted_check_one)
+    monkeypatch.setitem(cli.ALGORITHMS, "dod-new", replace(cli.ALGORITHMS["dod-new"], run=wrong_run))
+    monkeypatch.setattr(cli, "oracle_relations", counted_oracle)
     monkeypatch.chdir(tmp_path)
-    for threads in ("1", "2"):
-        calls = tmp_path / f"calls-{threads}"
-        monkeypatch.setenv("CHECK_CALLS", str(calls))
-        monkeypatch.setenv("CTRLDEP_THREADS", threads)
-        assert cli.main(["check", "--count", str(4 * cli.CHECK_WINDOW), "--max-nodes", "6"]) == 1
-        count = len(calls.read_text().splitlines())
-        if threads == "1":
-            assert count == 1
-        else:
-            assert count < cli.CHECK_WINDOW // 4, count
+    assert cli.main(["check", "--count", "4096", "--max-nodes", "6"]) == 1
+    assert calls == ["oracle", "dod-new"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["mismatch (graph written to ctrldep-mismatch.json):", "  dod-new disagrees with the oracle"]
+    assert "  dod-new:".ljust(22) + '[["n0", "n0", "n0"]]' in lines
 
 
 def test_check_small_run(tmp_path):
@@ -384,15 +372,6 @@ def test_check_budget_exit_2(tmp_path):
     assert "exceeds the oracle budget" in proc.stderr  # not an argparse usage error
 
 
-def test_check_respects_thread_env(tmp_path):
-    argv = ("check", "--count", "24", "--max-nodes", "8", "--seed", "3")
-    proc = run_cli(*argv, cwd=tmp_path, env=cli_env(CTRLDEP_THREADS="2"))
-    assert proc.returncode == 0, proc.stderr
-    serial = run_cli(*argv, cwd=tmp_path, env=cli_env(CTRLDEP_THREADS="1"))
-    assert serial.returncode == 0, serial.stderr
-    assert proc.stdout == serial.stdout  # the process pool gives the serial verdict
-
-
 def test_bench_writes_csv(tmp_path):
     out = tmp_path / "bench.csv"
     proc = run_cli(
@@ -406,6 +385,20 @@ def test_bench_writes_csv(tmp_path):
     assert len(rows) == 1 + 2 * 3  # two algorithms, three edge cells
     assert {r[0] for r in rows[1:]} == {"ntscd-new", "dod-new"}
     assert all(r[5] == "3" for r in rows[1:])
+
+
+def test_bench_refuses_an_unwritable_csv_before_timing(tmp_path, monkeypatch):
+    calls = []
+    algo = cli.ALGORITHMS["ntscd-new"]
+
+    def counted_run(g, o):
+        calls.append(len(g))
+        return algo.run(g, o)
+
+    monkeypatch.setitem(cli.ALGORITHMS, "ntscd-new", replace(algo, run=counted_run))
+    argv = ["bench", "--nodes", "10..200:10", "--edges", "20", "--algos", "ntscd-new", "--csv", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert calls == []
 
 
 def test_bench_empty_algos_exit_2(tmp_path):
@@ -695,7 +688,6 @@ def test_check_reports_a_raising_gated_variant(error, fig7, tmp_path, capsys, mo
         raise error("boom")
 
     monkeypatch.setitem(cli.ALGORITHMS, "dod-new", replace(cli.ALGORITHMS["dod-new"], run=boom))
-    monkeypatch.delenv("CTRLDEP_THREADS", raising=False)
     failure = f"dod-new raised {error.__name__}: boom"
     assert cli.differential_failures(fig7) == [failure]
     path = tmp_path / "fig7.json"
@@ -714,31 +706,36 @@ def test_check_reports_a_raising_gated_variant(error, fig7, tmp_path, capsys, mo
     assert cli.main(["check", "--input", str(path), "--fail-out", str(fail_out)]) == 2
 
 
-def test_check_pool_is_capped_by_cores_and_graphs(tmp_path, monkeypatch):
-    # A fork pool starts all of its workers at the first submit, so record
-    # the size asked for and run the graphs in this process.
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.chdir(tmp_path)
-    for threads, count in (("5000", "1"), ("5000", "3"), ("5000", "10"), ("0", "10"), ("2", "10")):
-        monkeypatch.setenv("CTRLDEP_THREADS", threads)
-        assert cli.main(["check", "--count", count, "--max-nodes", "5"]) == 0
-    assert sizes == [3, 4, 4, 2]
+@pytest.mark.parametrize(
+    "target, reason",
+    [("a-directory", "Is a directory"), ("missing/mismatch.json", "No such file or directory")],
+    ids=["a-directory", "in-a-missing-directory"],
+)
+def test_check_reports_a_mismatch_it_cannot_write(target, reason, fig7, tmp_path, capsys, monkeypatch):
+    # The graph cannot be written, but the failing variant and the
+    # relations are still reported, the header says why, and the exit code
+    # is the mismatch's; only the replay line, which needs the file, is left out.
+    wrong = replace(cli.ALGORITHMS["dod-new"], run=lambda g, o: [(0, (0,), (0,))])
+    monkeypatch.setitem(cli.ALGORITHMS, "dod-new", wrong)
+    path = tmp_path / "fig7.json"
+    path.write_text(serialize_cfg(fig7))
+    (tmp_path / "a-directory").mkdir()
+    fail_out = tmp_path / target
+    for argv in (["--input", str(path)], ["--count", "3", "--max-nodes", "6"]):
+        assert cli.main(["check", *argv, "--fail-out", str(fail_out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[1] == f"mismatch (graph not written to {fail_out}: {reason}):"
+        assert lines[2] == "  dod-new disagrees with the oracle"
+        assert [line[:22] for line in lines[3:]] == [
+            f"  {name}:".ljust(22)
+            for name in ("oracle ntscd", "ntscd-new", "ntscd-vp", "ntscd-rang-fixed")
+            + ("oracle dod", "dod-new", "dod-formula", "dod-formula-fixed")
+        ]
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ") and reason in errors[0], captured.err
+    assert not (tmp_path / "missing").exists()
+    assert list((tmp_path / "a-directory").iterdir()) == []
 
 
 def test_gate_ignores_a_wrong_ntscd_rang(fig7, monkeypatch):
@@ -864,12 +861,6 @@ def test_bench_rejects_cc_with_a_reason(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "cc needs a criterion" in proc.stderr
     assert "bench cannot time it" in proc.stderr
-
-
-def test_check_bad_thread_env_exit_2(tmp_path):
-    proc = run_cli("check", "--count", "2", cwd=tmp_path, env=cli_env(CTRLDEP_THREADS="abc"))
-    assert proc.returncode == 2, proc.stderr
-    assert "CTRLDEP_THREADS must be an integer >= 0, got 'abc'" in proc.stderr
 
 
 def test_check_max_nodes_below_2_exit_2(tmp_path):

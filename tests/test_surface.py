@@ -138,6 +138,57 @@ def test_private_read_scan_sees_a_foreign_read():
     assert _foreign_private_reads(tree) == [(3, "_stamp")]
 
 
+# A process or thread pool, or a knob read from the environment: ``check``
+# and every other command run serially and are configured by flags alone.
+CONCURRENCY_MODULES = {"concurrent", "multiprocessing", "threading"}
+ENVIRONMENT_READS = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
+
+
+def _pools_and_env_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """Imports of a concurrency module, and reads of the environment through
+    ``os`` (``os.environ``, ``os.getenv``, or those names imported from it)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+            if node.module == "os":
+                found += [(node.lineno, f"os.{alias.name}") for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append((node.lineno, f"os.{node.attr}"))
+    return sorted(
+        (line, name) for line, name in found if name.split(".")[0] in CONCURRENCY_MODULES or name in ENVIRONMENT_READS
+    )
+
+
+def test_no_module_starts_a_pool_or_reads_the_environment():
+    found = {}
+    for path in sorted((ROOT / "src" / "ctrldep").glob("*.py")):
+        hits = _pools_and_env_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_pool_and_environment_scan_sees_each_form():
+    source = (
+        "import os, threading\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import multiprocessing.pool as mp\n"
+        "from os import getenv, path\n"
+        "x = os.environ.get('A') or os.getenv('B') or os.path.join('c')\n"
+    )
+    assert _pools_and_env_reads(ast.parse(source)) == [
+        (1, "threading"),
+        (2, "concurrent.futures"),
+        (3, "multiprocessing.pool"),
+        (4, "os.getenv"),
+        (5, "os.environ"),
+        (5, "os.getenv"),
+    ]
+
+
 LABEL_ENTRY_POINTS = {
     "strong_closure-start": lambda g: strong_closure(g, ClosureSpec(w=frozenset({"a"}), start="zz")),
     "strong_closure-criterion": lambda g: strong_closure(g, ClosureSpec(w=frozenset({"a", "zz"}), start="a")),
