@@ -148,8 +148,8 @@ def strong_closure_nodes(g: Cfg, spec: ClosureSpec) -> list[int]:
     walk.  For DOD, p joins once the closure holds a node of each of the
     two segments of p's block in ``dod_from_vp_rows``, read once before the
     worklist starts: two first-hit searches and O(|C|) per predicate
-    feeding a cycle C, inside the O(|V|^2) per round of ``vp_sets``.  Beyond that,
-    O(|closure| * |E|).
+    feeding a cycle C, after the one ``vp_sets`` call, whose walks stop at
+    each predicate's meet.  Beyond that, O(|closure| * |E|).
     """
     start = node_indices(g, (spec.start,))[0]
     w = node_indices(g, spec.w)

@@ -13,7 +13,8 @@ pass, which ``ntscd_new`` makes over every node, walks only in-edges of
 nodes that a predicate reaches, since no controller lies above the others,
 and a target entered only by an earlier target's only out-edge copies that
 target's rows instead of propagating.
-``vp_sets`` instead finds the all-paths sets as one parent pointer per node.
+``vp_sets`` instead finds the all-paths sets as one parent pointer per node,
+with walks that stop at each predicate's meet.
 
 Propagation walks its own growing list of members, never recursion, so
 deep graphs are safe.
@@ -22,7 +23,7 @@ deep graphs are safe.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import cycle
 from typing import Iterable, Iterator, Sequence
@@ -181,6 +182,7 @@ class VpMap:
 
     g: Cfg
     parent: list[int]
+    steps: int = field(default=0, init=False, compare=False)  # pointer steps ``vp_sets`` walked
 
     def chain(self, v: int) -> Iterator[int]:
         """vp(v) in pointer order: v, its parent, and so on, up to a root."""
@@ -230,15 +232,115 @@ class VpMap:
         return frozenset(self.g.labels[i] for i in self.chain(self.g.index[label]))
 
 
+_STOP = 1 << 28  # mark of a chain's end, above every generation: ends every walk
+_CYCLIC = -1  # fate of a node on a pointer cycle with a predicate on it
+
+
+def _settle(vp: VpMap, mark: list[int], fate: dict[int, int], a: int) -> None:
+    """Record for good the pointer cycle through ``a``.  With no predicate
+    on it no pointer of it ever moves, so it is stamped permanent, above
+    every generation, with a stamp of its own; else its nodes' fate is
+    ``_CYCLIC``, since a node on a pointer cycle stays on one."""
+    parent = vp.parent
+    cyc = [a]
+    y = parent[a]
+    while y != a:
+        cyc.append(y)
+        y = parent[y]
+    vp.steps += len(cyc)
+    succs = vp.g.succs
+    for y in cyc:
+        ss = succs[y]
+        if ss[0] != ss[-1]:  # a predicate
+            for y in cyc:
+                fate[y] = _CYCLIC
+            return
+    stamp = _STOP + 1 + a
+    for y in cyc:
+        mark[y] = stamp
+
+
+def _on_cycle(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: int) -> bool:
+    """Whether ``z`` is on a pointer cycle.  Walks chain(z), stamping
+    ``stamp``, until it closes a cycle or reaches the chain's end: a node
+    with no parent or on a permanent cycle.  Each node walked gets that end
+    as its fate; it stays true while the end has no parent, and a later
+    walk stops at a node it holds true for.  A cycle closed is settled."""
+    if fate.get(z) == _CYCLIC:
+        return True
+    parent = vp.parent
+    path = []
+    y = z
+    while mark[y] < stamp:
+        end = fate.get(y, -1)
+        if end >= 0 and (parent[end] < 0 or mark[end] > _STOP):
+            break  # chain(y) still ends at end
+        mark[y] = stamp
+        path.append(y)
+        y = parent[y]
+    else:
+        if mark[y] == stamp:  # closed the cycle through y
+            vp.steps += len(path)
+            if fate.get(y) != _CYCLIC:
+                _settle(vp, mark, fate, y)
+            return y == z
+        end = y if y >= 0 else path[-1]  # on a permanent cycle, or with no parent
+    vp.steps += len(path)
+    for y in path:
+        fate[y] = end
+    return False
+
+
+def _entry(vp: VpMap, mark: list[int], s: int, z: int, stamp: int) -> int:
+    """The first node of chain(s) on the pointer cycle through ``z``, which
+    chain(s) reaches."""
+    parent = vp.parent
+    if mark[z] > _STOP:  # a permanent cycle's nodes share their stamp
+        stamp = mark[z]
+    y = z
+    while mark[y] != stamp:
+        mark[y] = stamp
+        y = parent[y]
+        vp.steps += 1
+    y = s
+    while mark[y] != stamp:
+        y = parent[y]
+        vp.steps += 1
+    return y
+
+
 def vp_sets(g: Cfg) -> VpMap:
     """All-paths sets as parent pointers.  A sink or a self-loop has no
     parent, a node with one distinct successor points to it, and a
-    predicate points to the first node of its second successor's chain that
-    is also on its first successor's chain.  The predicates are examined
-    round-robin until one full round of them in a row moves no pointer; a
-    pointer moves only when that grows vp(v), so the rounds end.
+    predicate v points to the meet of its successors s1 and s2: the first
+    node of chain(s2) that is also on chain(s1).  The predicates are
+    examined round-robin until one full round of them in a row moves no
+    pointer.  An examination moves ``parent[v]`` to the meet unless it is v
+    or on chain(parent[v]); that grows vp(v), so the rounds end.
     Re-examining only the direct predecessors of a moved node is not
     enough: a change deep in a chain moves meets further upstream.
+
+    Each examination walks only as far as the meet.  Two fingers step down
+    chain(s1) and chain(s2) in turn, each stamping the nodes it passes,
+    until one steps on the other's stamp: the meet, unless that node is on
+    a pointer cycle, when the meet is where chain(s2) enters the cycle.  A
+    finger that reaches the end of its chain, or its own stamp, leaves the
+    other to walk on alone.  So an examination takes at most about twice
+    the longer of the two chains' runs up to the meet (up to their ends
+    when they have none), not all of chain(s1).  A one-node chain needs no
+    finger: the other chain meets it only by ending at it.
+
+    Sets only grow, so ``parent[v]`` stays on both chains, at or after the
+    meet x on chain(s2); x is on chain(parent[v]) exactly when it is
+    ``parent[v]`` or lies on a pointer cycle, and a node on a pointer cycle
+    stays on one.  Only predicates' pointers move, so a pointer cycle with
+    no predicate on it is a permanent root: the first walk to close it
+    stamps it above every generation, and later walks stop at its first
+    node; two chains that stop in the same one meet where chain(s2)
+    entered it.  Whether a meet is on a cycle is read off a walk to its
+    chain's end, remembered per node while that end stays a root.
+
+    ``VpMap.steps`` counts the pointer steps of every walk.
     """
     n = len(g.labels)
     vp = VpMap(g, [-1] * n)
@@ -249,29 +351,93 @@ def vp_sets(g: Cfg) -> VpMap:
     # Graphs mostly declare a node before its successors.
     succs = g.succs
     branching = predicate_indices(g)[::-1]
-    mark = [0] * n  # stamps: chain(s1) gets gen, the walked part of chain(s2) gen + 1
-    gen = 0
+    stop = _STOP
+    mark = [0] * (n + 1)
+    mark[n] = stop  # read as mark[-1]: a chain's end stops the fingers
+    fate: dict[int, int] = {}  # node -> its chain's end when last walked, or _CYCLIC
+    gen = 0  # an examination stamps gen and gen + 1 (the fingers), gen + 2 (cycle tests)
+    steps = 0
     k = len(branching)
     quiet = 0  # predicates examined since the last move
-    for v in cycle(branching):
-        if quiet == k:
-            break
-        quiet += 1
-        s1, s2 = succs[v]
-        if parent[s1] < 0 and parent[s2] < 0:
-            continue  # two one-node chains never meet
-        gen += 2
-        x = s1
-        while x >= 0 and mark[x] != gen:
-            mark[x] = gen
-            x = parent[x]
-        x = s2
-        while x >= 0 and mark[x] < gen:
-            mark[x] = gen + 1
-            x = parent[x]
-        # Stamp gen + 1 at x: chain(s2) cycled alone.  A meet at v keeps the
-        # next shared node; one on the old parent's chain keeps the set.
-        if x >= 0 and mark[x] == gen and x != v and x not in vp.chain(parent[v]):
-            parent[v] = x
-            quiet = 0
+    while quiet < k:
+        if gen + 3 * k + 3 > stop:  # keep a round's stamps below the permanent ones
+            for i in range(n):
+                if mark[i] < stop:
+                    mark[i] = 0
+            gen = 0
+        for v in branching:
+            if quiet == k:
+                break
+            quiet += 1
+            s1, s2 = succs[v]
+            if parent[s1] < 0:
+                if parent[s2] < 0:
+                    continue  # two one-node chains never meet
+                s, t = s2, s1
+            elif parent[s2] < 0:
+                s, t = s1, s2
+            else:  # both chains go on past their first node
+                gen += 3
+                g1 = gen + 1
+                a = s1
+                b = s2
+                # Fingers in turn, chain(s1) stamping gen and chain(s2) g1,
+                # until one stops at x, on a stamp or at its chain's end.
+                while mark[a] < gen:
+                    mark[a] = gen
+                    a = parent[a]
+                    if mark[b] >= gen:
+                        x, sx, w, sw = b, g1, a, gen
+                        steps += 1
+                        break
+                    mark[b] = g1
+                    b = parent[b]
+                    steps += 2
+                else:
+                    x, sx, w, sw = a, gen, b, g1
+                mx = mark[x]
+                if mx != sw:  # x's chain is walked whole, so the other finger goes on alone
+                    if mx == sx and fate.get(x) != _CYCLIC:
+                        _settle(vp, mark, fate, x)
+                        mx = mark[x]
+                    while mark[w] < gen:
+                        mark[w] = sw
+                        w = parent[w]
+                        steps += 1
+                    mw = mark[w]
+                    if mw != sx:
+                        if mw == mx > stop and parent[v] < 0:
+                            # One permanent cycle, so the meet is where chain(s2)
+                            # entered it; a parent already set is on it too.
+                            parent[v] = w if sx == gen else x
+                            quiet = 0
+                        continue
+                    x = w
+                # x is on both chains: the meet, unless x is on a pointer cycle
+                q = parent[v]
+                if x == v or x == q:
+                    continue
+                if parent[x] >= 0 and _on_cycle(vp, mark, fate, x, gen + 2):
+                    if q >= 0:
+                        continue
+                    x = _entry(vp, mark, s2, x, gen + 2)
+                    if x == v:
+                        continue
+                parent[v] = x
+                quiet = 0
+                continue
+            # chain(t) is t alone, so chain(s) meets it only by ending at t
+            gen += 3
+            mark[t] = gen
+            while s >= 0 and mark[s] < gen:
+                mark[s] = gen
+                s = parent[s]
+                steps += 1
+            if s == t:
+                if t != v and parent[v] != t:
+                    parent[v] = t
+                    quiet = 0
+            elif s >= 0 and mark[s] == gen and fate.get(s) != _CYCLIC:
+                _settle(vp, mark, fate, s)
+    vp.steps += steps
     return vp

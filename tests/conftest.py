@@ -121,12 +121,12 @@ def diamond_ladder(rungs: int, closed: bool, arm: int = 1) -> Cfg:
     return Cfg(labels, edges)
 
 
-def fed_cycle_cfg(seed: int, cycle: tuple[int, int] = (3, 30), feeders: int = 6) -> Cfg:
-    """A seeded cycle of ``cycle`` nodes fed by 1-``feeders`` branches, each
+def fed_cycle_cfg(seed: int, cycle: tuple[int, int] = (3, 30), feeders: tuple[int, int] = (1, 6)) -> Cfg:
+    """A seeded cycle of ``cycle`` nodes fed by ``feeders`` branches, each
     to two distinct cycle nodes directly or, as in fig7, through two
     intermediate branches.  A chain of dispatch branches reaches every
     feeder from the first declared node; the other nodes are declared in a
-    seeded order.  At most ``cycle[1] + 4 * feeders - 1`` nodes.  Unlike
+    seeded order.  At most ``cycle[1] + 4 * feeders[1] - 1`` nodes.  Unlike
     small random graphs, most of these have a non-empty DOD."""
     rng = Random(seed)
     k = rng.randint(*cycle)
@@ -138,7 +138,7 @@ def fed_cycle_cfg(seed: int, cycle: tuple[int, int] = (3, 30), feeders: int = 6)
         labels.append(name)
         edges.extend((name, ring[i]) for i in rng.sample(range(k), 2))
 
-    f = rng.randint(1, feeders)
+    f = rng.randint(*feeders)
     for j in range(f):
         p = f"p{j}"
         if rng.random() < 0.5:

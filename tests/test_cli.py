@@ -823,7 +823,7 @@ def test_relations_ignore_a_shuffle_and_a_relabelling_on_a_fixed_corpus():
     # design, so it is not among the relations compared.
     rng = Random(21)
     corpus = [random_cfg(*case) for case in cli.check_cases(600, 12, 21)]
-    corpus += [fed_cycle_cfg(seed, cycle=(3, 8), feeders=2) for seed in range(60)]
+    corpus += [fed_cycle_cfg(seed, cycle=(3, 8), feeders=(1, 2)) for seed in range(60)]
     corpus += [worst_case_dod_cfg(8), worst_case_dod_cfg(12)]
     for g in corpus:
         order = rng.sample(g.labels, len(g))

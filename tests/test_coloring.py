@@ -6,17 +6,20 @@ brute-force oracle, so the two implementations vouch for each other.
 
 from __future__ import annotations
 
+import time
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrldep import Cfg, random_cfg, random_reducible_cfg, worst_case_dod_cfg
+from ctrldep import Cfg, coloring, dod_new, random_cfg, random_reducible_cfg, worst_case_dod_cfg
 from ctrldep.cfg import predicate_indices
 from ctrldep.coloring import Coloring, vp_sets
 from ctrldep.ntscd import ntscd_new_rows
 from ctrldep.oracle import oracle_exists_maximal_avoiding
 
-from conftest import diamond_ladder, fed_cycle_corpus, small_cfgs
+from conftest import diamond_ladder, fed_cycle_cfg, fed_cycle_corpus, small_cfgs
 
 
 def color(g: Cfg, targets) -> frozenset[str]:
@@ -199,6 +202,100 @@ def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep():
     assert len(graphs) >= 2000
     for g in graphs:
         assert vp_sets(g).parent == sweep_fixpoint(g)
+
+
+def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep_on_large_cycles():
+    # Cycles far longer than the 30 nodes of the fed-cycle corpus: the
+    # worst case's and the fed cycles' hold no predicate, so walks stop at
+    # their first node once one walk has closed them; a closed ladder's
+    # root cycle holds every predicate, so none is ever permanent.
+    graphs = [worst_case_dod_cfg(n) for n in (128, 256, 512)]
+    graphs += [fed_cycle_cfg(seed, cycle=(100, 200), feeders=(20, 40)) for seed in range(4)]
+    graphs += [diamond_ladder(r, True, arm) for r in (30, 60) for arm in (1, 2)]
+    for g in graphs:
+        assert vp_sets(g).parent == sweep_fixpoint(g)
+
+
+def test_vp_sets_renumbers_its_stamps_below_the_permanent_ones(monkeypatch):
+    # With the ceiling of the stamps just above one round's worth, every
+    # round after the first starts by renumbering them.
+    graphs = fed_cycle_corpus()[:100] + [worst_case_dod_cfg(n) for n in range(8, 65, 8)]
+    graphs += [diamond_ladder(r, closed, 2) for r in range(1, 9) for closed in (False, True)]
+    graphs += [random_cfg(n, 3 * n // 2, s) for n in range(4, 40) for s in range(3)]
+    expected = [vp_sets(g).parent for g in graphs]
+    for g, parent in zip(graphs, expected):
+        monkeypatch.setattr(coloring, "_STOP", 3 * len(predicate_indices(g)) + 3)
+        assert vp_sets(g).parent == parent
+
+
+def shuffled(g: Cfg, seed: int) -> Cfg:
+    """``g`` with its nodes declared in a seeded random order."""
+    labels = list(g.labels)
+    Random(seed).shuffle(labels)
+    return Cfg(labels, g.edges())
+
+
+def swapped(g: Cfg) -> Cfg:
+    """``g`` with the two out-edges of every predicate in the other order."""
+    return Cfg(g.labels, [(g.labels[v], g.labels[s]) for v, ss in enumerate(g.succs) for s in reversed(ss)])
+
+
+def test_vp_sets_are_invariant_under_reordering_and_swapped_branches():
+    # The order of examination decides which root cycles a run learns, and
+    # when; which chain is walked as chain(s1) decides where the fingers
+    # collide.  Neither may change a set.
+    graphs = fed_cycle_corpus() + [worst_case_dod_cfg(n) for n in range(8, 65, 4)]
+    graphs += [random_cfg(n, e, s) for n in (10, 30, 60) for e in (n, 3 * n // 2, 2 * n) for s in range(10)]
+    graphs += [diamond_ladder(r, closed, 2) for r in (3, 10) for closed in (False, True)]
+    for i, g in enumerate(graphs):
+        vp = vp_sets(g)
+        expected = [vp[label] for label in g.labels]
+        for h in (shuffled(g, i), swapped(g)):
+            vh = vp_sets(h)
+            assert [vh[label] for label in g.labels] == expected
+
+
+def test_vp_sets_steps_grow_linearly_on_the_worst_case_and_ladders():
+    # Worst case, n/2 predicates into an n/2-node cycle: the first
+    # examination's fingers collide on the cycle (n/2 steps), the walk that
+    # finds the collision on a cycle goes round it (n/2) and stamps it
+    # permanent (n/2); every later finger stops at once.
+    assert [vp_sets(worst_case_dod_cfg(n)).steps for n in range(8, 129, 4)] == [3 * n // 2 for n in range(8, 129, 4)]
+    # Open ladder with 2-node arms, 6 nodes a rung: each rung's fingers meet
+    # at its join, and each join's walk to the sink stops at the next rung's
+    # join, which it already walked.  Closed, the root cycle holds every
+    # predicate, and the walks stop at the last root they found instead.
+    for k in (50, 100, 200, 400):
+        assert vp_sets(diamond_ladder(k, False, 2)).steps == 12 * k - 1
+        assert vp_sets(diamond_ladder(k, True, 2)).steps == 12 * k
+        assert vp_sets(diamond_ladder(k, False, 1)).steps == 8 * k - 1
+
+
+def test_vp_sets_steps_on_the_fed_cycle_corpus():
+    steps = [vp_sets(g).steps for g in fed_cycle_corpus()]
+    assert (sum(steps), max(steps)) == (26_186, 147)
+
+
+def test_vp_sets_steps_on_the_edge_sweep_graphs():
+    # The graphs of acceptance criterion 9, whose timed spread varies with
+    # the machine; the steps do not.  Each stays below 2|V|.
+    steps = [vp_sets(random_cfg(500, edges, 1234)).steps for edges in range(50, 1001, 50)]
+    assert steps == [2, 2, 10, 34, 34, 102, 124, 327, 258, 497, 939, 604, 512, 567, 565, 483, 543, 507, 191, 4]
+
+
+def test_vp_sets_throughput_on_the_worst_case_and_a_long_ladder():
+    # Walking all of chain(s1) per examination took seconds on both.
+    g = worst_case_dod_cfg(16_000)
+    started = time.perf_counter()
+    vp_sets(g)
+    seconds = time.perf_counter() - started
+    assert seconds < 0.5, f"vp_sets on the 16,000-node worst case took {seconds:.2f}s"
+    g = diamond_ladder(10_000, False, 2)
+    assert len(g) == 60_000
+    started = time.perf_counter()
+    dod_new(g)
+    seconds = time.perf_counter() - started
+    assert seconds < 5.0, f"dod-new on the 60,000-node ladder took {seconds:.2f}s"
 
 
 @settings(max_examples=80, deadline=None)

@@ -199,7 +199,7 @@ def predicate_free_region_corpus() -> list[Cfg]:
     for k in range(1, 31):
         bodies = [
             diamond_ladder(1 + k % 4, closed=k % 3 == 0, arm=1 + k % 2),
-            fed_cycle_cfg(k, cycle=(3, 12), feeders=3),
+            fed_cycle_cfg(k, cycle=(3, 12), feeders=(1, 3)),
             random_cfg(2 + k % 17, 7 * k % (5 + 2 * (k % 17)), k),
             ring(1 + k % 5),
             Cfg(["b"], []),

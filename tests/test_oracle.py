@@ -161,7 +161,7 @@ def test_tables_match_the_per_query_oracle_on_the_figures(figure, request):
 
 @pytest.mark.parametrize(
     "g",
-    [worst_case_dod_cfg(8), worst_case_dod_cfg(12)] + [fed_cycle_cfg(seed, cycle=(3, 8), feeders=3) for seed in range(6)],
+    [worst_case_dod_cfg(8), worst_case_dod_cfg(12)] + [fed_cycle_cfg(seed, cycle=(3, 8), feeders=(1, 3)) for seed in range(6)],
 )
 def test_tables_match_the_per_query_oracle_on_dod_shapes(g):
     assert oracle_relations(g)["dod"]
