@@ -29,16 +29,22 @@ class Cfg:
         index:  label -> dense index.
         succs:  per-node tuple of successor indices, in edge order.
         preds:  per-node tuple of predecessor indices (exact transpose of
-                ``succs``, duplicates preserved).
+                ``succs``, duplicates preserved, each in edge order), built
+                on first read.
         n_edges: the number of edges.
         predicate_nodes: indices of the predicates, in node order, found
                 once at construction; ``predicate_indices`` reads them.
 
     Construction is the one graph validator: ValueError on a duplicate label,
     or on an edge ``#k`` with an undeclared endpoint or a third out-edge.
+    It makes one tuple per node and keeps the edges as one flat list of
+    endpoint indices; ``preds`` transposes that list in O(|V| + |E|) the
+    first time it is read, since ``vp_sets`` and ``dod_from_vp_rows`` never
+    read it.  The build is idempotent: reads that race on a shared graph
+    each build equal tuples, and every read after that returns the same.
     """
 
-    __slots__ = ("labels", "index", "succs", "preds", "n_edges", "predicate_nodes")
+    __slots__ = ("labels", "index", "succs", "n_edges", "predicate_nodes", "_ends", "_preds")
 
     def __init__(self, labels: Sequence[str], edges: Sequence[tuple[str, str]]) -> None:
         self.labels = labels = tuple(labels)
@@ -49,26 +55,38 @@ class Cfg:
                 if lab in seen:
                     raise ValueError(f"duplicate node label {lab!r}")
                 seen.add(lab)
-        succ_lists: list[list[int]] = [[] for _ in labels]
-        pred_lists: list[list[int]] = [[] for _ in labels]
-        # Every edge taken so far is in succ_lists, so their count is the
-        # number of the edge at fault.
+        succs: list[tuple[int, ...]] = [()] * len(labels)
+        # Source, target of each edge taken so far, so half its length is
+        # the number of the edge at fault.
+        ends: list[int] = []
         try:
             for src, dst in edges:
                 s = index[src]
                 d = index[dst]
-                out = succ_lists[s]
+                out = succs[s]
                 if len(out) == 2:
-                    raise ValueError(f"edge #{sum(map(len, succ_lists))}: out-degree exceeds 2 for node {src!r}")
-                out.append(d)
-                pred_lists[d].append(s)
+                    raise ValueError(f"edge #{len(ends) // 2}: out-degree exceeds 2 for node {src!r}")
+                succs[s] = out + (d,)
+                ends += s, d
         except KeyError as exc:
-            k = sum(map(len, succ_lists))
-            raise ValueError(f"edge #{k}: endpoint {exc.args[0]!r} is not a declared node") from None
-        self.succs = tuple(map(tuple, succ_lists))
-        self.preds = tuple(map(tuple, pred_lists))
-        self.n_edges = sum(map(len, succ_lists))
-        self.predicate_nodes = tuple(i for i, ss in enumerate(succ_lists) if len(ss) == 2 and ss[0] != ss[1])
+            raise ValueError(f"edge #{len(ends) // 2}: endpoint {exc.args[0]!r} is not a declared node") from None
+        self.succs = tuple(succs)
+        self.n_edges = len(ends) // 2
+        self.predicate_nodes = tuple(i for i, ss in enumerate(succs) if len(ss) == 2 and ss[0] != ss[1])
+        self._ends = ends
+        self._preds: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def preds(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's predecessors, one per in-edge, in edge order."""
+        preds = self._preds
+        if preds is None:
+            pred_lists: list[list[int]] = [[] for _ in self.labels]
+            it = iter(self._ends)
+            for s, d in zip(it, it):
+                pred_lists[d].append(s)
+            self._preds = preds = tuple(map(tuple, pred_lists))
+        return preds
 
     def __len__(self) -> int:
         return len(self.labels)

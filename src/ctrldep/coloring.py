@@ -117,8 +117,9 @@ class Coloring:
         closed under successors and holds every predicate successor, so the
         member and touched status of each predicate's successors, and with
         it each controller, is that of a full propagation; a target outside
-        R stops at itself and has none.  O(|E|) per propagating target, the
-        rows it copies per other target, and O(1) outside R.
+        R would stop at itself and has none, so it does not propagate.
+        O(|E|) per propagating target, the rows it copies per other target,
+        and O(1) outside R.
         """
         preds = self._walked
         stamp = self._stamp
@@ -133,7 +134,7 @@ class Coloring:
             if len(ps) == 1 and ps[0] in spans:
                 a, b = spans[ps[0]]
                 rows += [(p, i) for p, _ in rows[a:b]]
-            else:
+            elif ps:  # not outside R
                 red += 2
                 touched_list = _propagate([t], preds, stamp, two, red)
                 ss = succs[t]

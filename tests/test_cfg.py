@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrldep import Cfg, ParseError, parse_cfg, predicates, random_cfg, serialize_cfg
+from ctrldep import Cfg, ParseError, parse_cfg, predicates, random_cfg, serialize_cfg, worst_case_dod_cfg
 from ctrldep.cfg import reach
+from ctrldep.coloring import vp_sets
+from ctrldep.dod import dod_from_vp_rows
 
-from conftest import small_cfgs
+from conftest import diamond_ladder, fed_cycle_cfg, small_cfgs
 
 
 def test_parse_single_node_json():
@@ -131,6 +137,64 @@ def test_cfg_counts_its_edges():
     assert g.n_edges == 4 == sum(map(len, g.succs)) == sum(map(len, g.preds))
     assert g.index == {"a": 0, "b": 1, "c": 2}
     assert g.succs == ((1, 1), (2,), (2,)) and g.preds == ((), (0, 0), (1, 2))
+
+
+def test_preds_of_a_node_with_100k_in_edges_build_in_linear_time():
+    # A transpose that grew each node's tuple one in-edge at a time would
+    # copy 5 * 10^9 entries here, and take well over the bound.
+    n = 100_000
+    labels = ["hub", *(f"v{i}" for i in range(n))]
+    edges = [(lab, "hub") for lab in labels[1:]]
+    t0 = time.perf_counter()
+    g = Cfg(labels, edges)
+    preds = g.preds
+    assert time.perf_counter() - t0 < 3.0
+    assert preds[0] == tuple(range(1, n + 1)) and g.preds is preds
+
+
+def test_threads_racing_on_the_first_read_of_preds_get_the_transpose():
+    # The first read builds preds without a lock: every racer must get the
+    # exact transpose, and every later read one of the racers' tuples.  The
+    # graphs are large enough that a build which published its lists before
+    # filling them fails here.
+    drawn = [random_cfg(20_000, 30_000, seed) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for g0 in drawn:
+            labels, edges = g0.labels, g0.edges()
+            expected = Cfg(labels, edges).preds
+            g = Cfg(labels, edges)
+            barrier = threading.Barrier(6)
+            seen: list = []
+
+            def first_read() -> None:
+                barrier.wait()
+                seen.append(g.preds)
+
+            threads = [threading.Thread(target=first_read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 6 and all(p == expected for p in seen)
+            assert any(p is g.preds for p in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_dod_new_never_reads_preds(monkeypatch):
+    # vp_sets and dod_from_vp_rows work on succs alone, so a dod-new request
+    # never pays for the transpose.
+    graphs = [fed_cycle_cfg(seed) for seed in range(20)] + [worst_case_dod_cfg(16), diamond_ladder(5, True, 2)]
+    graphs += [random_cfg(n, 3 * n // 2, n) for n in range(5, 80, 5)]
+
+    def unread(g: Cfg) -> tuple[tuple[int, ...], ...]:
+        raise AssertionError("Cfg.preds was read")
+
+    monkeypatch.setattr(Cfg, "preds", property(unread))
+    assert sum(len(list(dod_from_vp_rows(g, vp_sets(g)))) for g in graphs) > 0
 
 
 @settings(max_examples=100, deadline=None)

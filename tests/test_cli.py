@@ -38,12 +38,13 @@ from ctrldep import (
     strong_closure,
     worst_case_dod_cfg,
 )
+from ctrldep.cfg import reach
 from ctrldep.coloring import vp_sets
 from ctrldep.dod import dod_labels
 from ctrldep.generate import MAX_NODES, MAX_REDUCIBLE_DEPTH
 from ctrldep.ntscd import ntscd_from_vp
 
-from conftest import fed_cycle_cfg, small_cfgs
+from conftest import diamond_ladder, fed_cycle_cfg, small_cfgs
 
 FIG3 = '{"nodes":["1","2","3","4","5","6"],"edges":[["1","2"],["1","6"],["2","3"],["2","4"],["3","5"],["4","5"],["5","6"]]}'
 FIG4 = '{"nodes":["a","b","c"],"edges":[["a","b"],["a","c"],["b","c"],["c","b"]]}'
@@ -829,6 +830,61 @@ def test_relations_ignore_a_shuffle_and_a_relabelling_on_a_fixed_corpus():
         order = rng.sample(g.labels, len(g))
         fresh = [f"v{k}" for k in rng.sample(range(10 * len(g)), len(g))]
         assert_order_and_labels_free(g, order, (), dict(zip(g.labels, fresh)))
+
+
+def with_loops(g: Cfg, rng: Random) -> Cfg:
+    """``g`` with a self-loop or a copy of its out-edge added to about half
+    of the nodes that have room, each node's out-edges kept first."""
+    edges = g.edges()
+    for v, ss in enumerate(g.succs):
+        if len(ss) < 2 and rng.random() < 0.5:
+            t = ss[0] if ss and rng.random() < 0.5 else v
+            edges.append((g.labels[v], g.labels[t]))
+    return Cfg(g.labels, edges)
+
+
+def interleaved_edges(g: Cfg, rng: Random) -> list[tuple[str, str]]:
+    """``g``'s edges in a seeded global order that keeps each node's
+    out-edges in their order."""
+    sources = [v for v, ss in enumerate(g.succs) for _ in ss]
+    rng.shuffle(sources)
+    taken = [0] * len(g)
+    edges = []
+    for v in sources:
+        edges.append((g.labels[v], g.labels[g.succs[v][taken[v]]]))
+        taken[v] += 1
+    return edges
+
+
+def test_preds_and_relations_follow_a_shuffled_edge_list():
+    # The global edge order decides the order of each node's predecessors,
+    # so the order the propagations walk in-edges, and nothing else: the
+    # graph, its relations and its closures are those of the unshuffled one.
+    rng = Random(25)
+    corpus = [random_cfg(n, e, seed) for n in (5, 12, 30, 60) for e in (n, 3 * n // 2, 2 * n) for seed in range(5)]
+    corpus += [with_loops(fed_cycle_cfg(seed, cycle=(3, 12), feeders=(1, 3)), rng) for seed in range(30)]
+    ladders = [diamond_ladder(r, closed, arm) for r in (2, 5) for closed in (False, True) for arm in (1, 2)]
+    corpus += [with_loops(g, rng) for g in ladders for _ in range(3)]
+    algos = ("ntscd-new", "ntscd-vp", "dod-new")
+    closures = 0
+    for g in corpus:
+        edges = interleaved_edges(g, rng)
+        h = Cfg(g.labels, edges)
+        transpose: list[list[int]] = [[] for _ in g.labels]
+        for a, b in edges:
+            transpose[h.index[b]].append(h.index[a])
+        assert h == g and h.preds == tuple(map(tuple, transpose))
+        for algo in algos:
+            assert cli.ALGORITHMS[algo].relation(h, cli.RunOptions()) == cli.ALGORITHMS[algo].relation(g, cli.RunOptions())
+        if len(reach(g.succs, (0,))) == len(g):
+            start = g.labels[0]
+            spec = ClosureSpec(w=frozenset({start, *rng.sample(g.labels, min(3, len(g)))}), start=start)
+            opts = cli.RunOptions(spec=spec)
+            assert cli.ALGORITHMS["cc"].relation(h, opts) == cli.ALGORITHMS["cc"].relation(g, opts)
+            closures += 1
+    assert any(len(set(g.preds[v])) < len(g.preds[v]) for g in corpus for v in range(len(g)))
+    assert any(v in g.succs[v] for g in corpus for v in range(len(g)))
+    assert closures >= 20
 
 
 @pytest.mark.parametrize("command", ["analyze", "diff"])

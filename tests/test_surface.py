@@ -189,6 +189,54 @@ def test_pool_and_environment_scan_sees_each_form():
     ]
 
 
+# The collector's switches are process-global, so a library that turned it
+# off while building a graph would do so for every thread sharing the
+# process; ``Cfg`` keeps its allocations down instead.
+def _gc_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """Imports of ``gc`` or of names from it, ``gc.<name>`` reads, and calls
+    such as ``__import__("gc")`` that name it in a string."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "gc"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found += [(node.lineno, f"gc.{alias.name}") for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gc":
+            found.append((node.lineno, f"gc.{node.attr}"))
+        elif isinstance(node, ast.Call) and any(isinstance(a, ast.Constant) and a.value == "gc" for a in node.args):
+            found.append((node.lineno, "gc"))
+    return sorted(found)
+
+
+def test_no_module_imports_or_calls_gc():
+    found = {}
+    for path in sorted((ROOT / "src" / "ctrldep").glob("*.py")):
+        hits = _gc_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_gc_scan_sees_each_form():
+    source = (
+        "import os, gc as collector\n"
+        "from gc import disable, freeze\n"
+        "gc.collect() or gc.isenabled\n"
+        "m = __import__('gc') or importlib.import_module('gc')\n"
+        "import gcx, logging\n"
+        "x = 'gc'\n"
+    )
+    assert _gc_uses(ast.parse(source)) == [
+        (1, "gc"),
+        (2, "gc.disable"),
+        (2, "gc.freeze"),
+        (3, "gc.collect"),
+        (3, "gc.isenabled"),
+        (4, "gc"),
+        (4, "gc"),
+    ]
+
+
 LABEL_ENTRY_POINTS = {
     "strong_closure-start": lambda g: strong_closure(g, ClosureSpec(w=frozenset({"a"}), start="zz")),
     "strong_closure-criterion": lambda g: strong_closure(g, ClosureSpec(w=frozenset({"a", "zz"}), start="a")),
