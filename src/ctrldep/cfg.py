@@ -72,7 +72,7 @@ class Cfg:
             raise ValueError(f"edge #{len(ends) // 2}: endpoint {exc.args[0]!r} is not a declared node") from None
         self.succs = tuple(succs)
         self.n_edges = len(ends) // 2
-        self.predicate_nodes = tuple(i for i, ss in enumerate(succs) if len(ss) == 2 and ss[0] != ss[1])
+        self.predicate_nodes = tuple([i for i, ss in enumerate(succs) if len(ss) == 2 and ss[0] != ss[1]])
         self._ends = ends
         self._preds: tuple[tuple[int, ...], ...] | None = None
 
@@ -202,17 +202,26 @@ def _parse_json(text: str) -> Cfg:
         raise ParseError("top-level value must be an object with 'nodes' and 'edges'")
     nodes = data.get("nodes")
     edges = data.get("edges")
-    if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
+    # json.loads makes exact lists and strs, so exact type tests suffice.
+    if not isinstance(nodes, list) or not set(map(type, nodes)) <= {str}:
         raise ParseError("'nodes' must be an array of strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be an array of [src, dst] pairs")
-    # json.loads makes exact lists and strs, so exact type tests suffice.
-    for k, item in enumerate(edges):
-        if type(item) is not list or len(item) != 2 or type(item[0]) is not str or type(item[1]) is not str:
-            raise ParseError(f"edge #{k}: expected a [src, dst] pair of strings")
+    # Once every edge is a list, Cfg rejects each other bad edge itself:
+    # unpacking fails on a wrong length, and the index lookup on an endpoint
+    # that is no string (no other JSON value equals a label, and lists and
+    # objects do not hash).  So the per-edge scan runs only after a failure,
+    # to report the first bad edge ahead of every fault Cfg names.
     try:
+        if not set(map(type, edges)) <= {list}:
+            raise TypeError("an edge is not an array")
         return Cfg(nodes, edges)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
+        for k, item in enumerate(edges):
+            if type(item) is not list or len(item) != 2 or type(item[0]) is not str or type(item[1]) is not str:
+                raise ParseError(f"edge #{k}: expected a [src, dst] pair of strings") from None
+        if isinstance(exc, TypeError):
+            raise
         raise ParseError(str(exc)) from None
 
 

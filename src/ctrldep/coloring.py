@@ -127,21 +127,31 @@ class Coloring:
         succs = self.g.succs
         red = self._gen
         rows: list[tuple[int, int]] = []
-        spans: dict[int, tuple[int, int]] = {}  # a target with < 2 out-edges -> its rows[a:b]
+        append = rows.append
+        spans: dict[int, tuple[int, int]] = {}  # a target in R with < 2 out-edges -> its rows[a:b]
         for i, t in enumerate(targets):
-            start = len(rows)
             ps = preds[t]
+            if not ps:
+                # Outside R: no controllers, and no span to record.  A target
+                # in R with one in-edge is a predicate's successor, entered
+                # from the predicate, or is entered from R, which holds
+                # every node reached from one; so none copies from t.
+                continue
+            start = len(rows)
             if len(ps) == 1 and ps[0] in spans:
                 a, b = spans[ps[0]]
-                rows += [(p, i) for p, _ in rows[a:b]]
-            elif ps:  # not outside R
+                for k in range(a, b):
+                    append((rows[k][0], i))
+            else:
                 red += 2
                 touched_list = _propagate([t], preds, stamp, two, red)
                 ss = succs[t]
                 if len(ss) == 2 and (stamp[ss[0]] == red) != (stamp[ss[1]] == red):
-                    rows.append((t, i))
-                if touched_list:
-                    rows += [(m, i) for m in touched_list if stamp[m] == red - 1]
+                    append((t, i))
+                touched = red - 1
+                for m in touched_list:
+                    if stamp[m] == touched:
+                        append((m, i))
             if not two[t]:
                 spans[t] = start, len(rows)
         self._gen = red

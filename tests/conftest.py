@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import strategies as st
 
-from ctrldep import Cfg
+from ctrldep import Cfg, random_cfg
 
 
 @pytest.fixture
@@ -160,6 +160,68 @@ def fed_cycle_cfg(seed: int, cycle: tuple[int, int] = (3, 30), feeders: tuple[in
 def fed_cycle_corpus():
     """Fixed family of 400 fed cycles of 3-30 nodes, at most 53 nodes in all."""
     return [fed_cycle_cfg(seed) for seed in range(400)]
+
+
+def behind_prefix(body: Cfg, k: int, seed: int, tail: int = 0, loops: bool = False) -> Cfg:
+    """``body`` entered at its first node from a k-node prefix, with a
+    ``tail``-node path hung off the first node of ``body`` that has fewer
+    than two out-edges (if any), ending in a self-loop when ``tail`` is
+    odd.  Each prefix node leads to the next by one edge or by two parallel
+    edges (not a predicate); with ``loops``, one in ten does so beside a
+    self-loop, which makes it a predicate of its own."""
+    rng = Random(seed)
+    prefix = [f"h{i}" for i in range(k)]
+    path = [f"z{i}" for i in range(tail)]
+    edges = []
+    for a, b in zip(prefix, prefix[1:] + [body.labels[0]]):
+        kind = rng.random()
+        edges += [(a, a), (a, b)] if loops and kind < 0.1 else [(a, b)] * (1 + (kind < 0.3))
+    edges += body.edges()
+    hooks = [v for v, ss in zip(body.labels, body.succs) if len(ss) < 2][:1]
+    if path and hooks:
+        edges += zip(hooks + path, path + [path[-1]] * (tail % 2))
+    return Cfg(prefix + list(body.labels) + path, edges)
+
+
+def ring(k: int) -> Cfg:
+    """A k-node cycle."""
+    labels = [f"r{i}" for i in range(k)]
+    return Cfg(labels, list(zip(labels, labels[1:] + labels[:1])))
+
+
+def predicate_free_region_corpus() -> list[Cfg]:
+    """Graphs whose predicates, if any, are reached only behind a chain:
+    chain prefixes of 1-30 nodes feeding ladders, fed cycles, rings and
+    random graphs, with and without predicate-free sink tails, and graphs
+    with no predicate at all."""
+    graphs = []
+    for k in range(1, 31):
+        bodies = [
+            diamond_ladder(1 + k % 4, closed=k % 3 == 0, arm=1 + k % 2),
+            fed_cycle_cfg(k, cycle=(3, 12), feeders=(1, 3)),
+            random_cfg(2 + k % 17, 7 * k % (5 + 2 * (k % 17)), k),
+            ring(1 + k % 5),
+            Cfg(["b"], []),
+        ]
+        for i, body in enumerate(bodies):
+            # A tail leaves a cycle open, so only odd k hang one.
+            graphs.append(behind_prefix(body, k, 31 * k + i, tail=(k + i) % 7 * (k % 2), loops=i < 3))
+    graphs += [behind_prefix(Cfg(["b"], [("b", "b")]), k, k) for k in range(1, 31)]
+    graphs += [Cfg([f"n{i}" for i in range(k)], []) for k in range(1, 4)]
+    return graphs
+
+
+def continuation_corpus() -> list[Cfg]:
+    """``predicate_free_region_corpus()``, 120 fed cycles and eight open
+    and closed ladders: over 3,000 continuations, nodes entered only by
+    another node's only out-edge, in chain prefixes and sink tails, cycle
+    segments between feeders, ladder arms, rings and the prefix ahead of a
+    self-loop."""
+    graphs = predicate_free_region_corpus()
+    graphs += [fed_cycle_cfg(seed) for seed in range(120)]
+    graphs += [diamond_ladder(rungs, closed, arm) for rungs in (1, 4) for closed in (False, True) for arm in (1, 3)]
+    return graphs
+
 
 
 @st.composite

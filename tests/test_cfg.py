@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,111 @@ def test_parse_rejects_each_edge_shape_that_is_not_a_pair_of_strings(edge):
     # The bad edge comes second, so the message must number it #1.
     with pytest.raises(ParseError, match=r"^edge #1: expected a \[src, dst\] pair of strings$"):
         parse_cfg('{"nodes":["a"],"edges":[["a","a"],%s]}' % edge)
+
+
+def shape_first_parse_error(nodes: list, edges: list) -> str | None:
+    """The message of a check of every edge's shape, then a Cfg build, on
+    decoded JSON: None when the graph is well formed."""
+    for k, item in enumerate(edges):
+        if type(item) is not list or len(item) != 2 or type(item[0]) is not str or type(item[1]) is not str:
+            return f"edge #{k}: expected a [src, dst] pair of strings"
+    try:
+        Cfg(nodes, edges)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Edges that are not a pair of strings.  "ab" and {"a": 0, "b": 1} unpack
+# as the pair ("a", "b"); [1, "a"] and ["a", ["b"]] are pairs whose
+# endpoint is not a string, one unequal to every label, one unhashable.
+BAD_EDGES = [
+    "ab",
+    {"a": 0, "b": 1},
+    [1, "a"],
+    ["a", ["b"]],
+    ["a", {"b": 0}],
+    [None, "b"],
+    ["a", 1.5],
+    [True, "a"],
+    None,
+    True,
+    3,
+    "a",
+    {"a": "b"},
+    [],
+    ["a"],
+    ["a", "b", "c"],
+]
+FAULT_KINDS = ("shape", "duplicate", "undeclared", "third")
+
+
+def faulty_graph(rng: Random, kinds: list[str]) -> tuple[list, list]:
+    """Nodes a-f and edges that are well formed but for one fault of each of
+    ``kinds``, the edge faults in that order.  Only c and d have out-edges
+    besides the faults, one each, and a third out-edge is the last of three
+    from e or f, so no fault is made by accident."""
+    nodes = ["a", "b", "c", "d", "e", "f"]
+    edges: list = [[x, rng.choice(nodes)] for x in ("c", "d") if rng.random() < 0.7]
+    rng.shuffle(edges)
+    sources = ["e", "f"]
+    floor = 0  # each edge fault goes after the ones before it
+    for kind in kinds:
+        if kind == "duplicate":
+            nodes.insert(rng.randint(0, len(nodes)), rng.choice(nodes))
+            continue
+        if kind == "shape":
+            fault = [rng.choice(BAD_EDGES)]
+        elif kind == "undeclared":
+            fault = [rng.choice([["zz", "a"], ["b", "zz"], ["zz", "zz"]])]
+        else:
+            x = sources.pop()
+            fault = [[x, rng.choice(nodes)] for _ in range(3)]
+        at = rng.randint(floor, len(edges))
+        edges[at:at] = fault
+        floor = at + len(fault)
+    return nodes, edges
+
+
+def fault_kind(message: str) -> str:
+    """Which of ``FAULT_KINDS`` a ParseError message names."""
+    for kind, words in (("shape", "pair of strings"), ("duplicate", "duplicate"), ("undeclared", "declared node")):
+        if words in message:
+            return kind
+    assert "out-degree exceeds 2" in message
+    return "third"
+
+
+def test_json_faults_are_reported_shape_first():
+    # parse_cfg scans the edges' shapes only once Cfg has refused the
+    # graph; it must report what a scan ahead of the build reports: the
+    # first bad edge, else a duplicate label, else the first undeclared
+    # endpoint or third out-edge in edge order.
+    outcomes: set[tuple[str, str, str]] = set()
+    drawn: set[str] = set()
+    for seed in range(3000):
+        rng = Random(seed)
+        kinds = [rng.choice(FAULT_KINDS) for _ in range(rng.choice((0, 1, 2, 2, 2)))]
+        nodes, edges = faulty_graph(rng, kinds)
+        text = json.dumps({"nodes": nodes, "edges": edges})
+        decoded = json.loads(text)
+        expected = shape_first_parse_error(decoded["nodes"], decoded["edges"])
+        if not kinds:
+            assert expected is None and parse_cfg(text) == Cfg(nodes, edges)
+            continue
+        with pytest.raises(ParseError) as caught:
+            parse_cfg(text)
+        assert str(caught.value) == expected
+        if len(kinds) == 2:
+            outcomes.add((*kinds, fault_kind(expected)))
+        drawn.update(json.dumps(e) for e in edges if e in BAD_EDGES)
+    # Every kind came first and second against every other; a shape fault
+    # after an edge Cfg refuses is still the one reported.
+    assert {(a, b) for a, b, _ in outcomes} == {(a, b) for a in FAULT_KINDS for b in FAULT_KINDS}
+    assert {(a, "shape", "shape") for a in FAULT_KINDS} <= outcomes
+    assert {("undeclared", "third", "undeclared"), ("third", "undeclared", "third")} <= outcomes
+    assert {("duplicate", k, "duplicate") for k in ("undeclared", "third")} <= outcomes
+    assert drawn == {json.dumps(e) for e in BAD_EDGES}
 
 
 def test_serialize_single_node_exact():

@@ -7,6 +7,7 @@ brute-force oracle, so the two implementations vouch for each other.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from random import Random
 
 import pytest
@@ -14,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrldep import Cfg, coloring, dod_new, random_cfg, random_reducible_cfg, worst_case_dod_cfg
-from ctrldep.cfg import predicate_indices
+from ctrldep.cfg import predicate_indices, reach
 from ctrldep.coloring import Coloring, vp_sets
 from ctrldep.ntscd import ntscd_new_rows
 from ctrldep.oracle import oracle_exists_maximal_avoiding
 
-from conftest import diamond_ladder, fed_cycle_cfg, fed_cycle_corpus, small_cfgs
+from conftest import continuation_corpus, diamond_ladder, fed_cycle_cfg, fed_cycle_corpus, small_cfgs
 
 
 def color(g: Cfg, targets) -> frozenset[str]:
@@ -382,3 +383,122 @@ def test_per_node_propagations_visit_5k2_plus_k_edges_on_a_ladder(rungs):
     # visits; at j_i: rungs 0..i, 5i + 4; at an arm: itself, 1.  Summed
     # over i < k: 5k^2 + k.
     assert total_edge_visits(diamond_ladder(rungs, closed=False)) == 5 * rungs * rungs + rungs
+
+
+def touch_order_controllers(g: Cfg, t: int) -> list[int]:
+    """t's controllers in the order a pass lists them: t itself when
+    exactly one of its successors is a member, then the predicates with
+    one member successor, in the order a propagation from t first touched
+    them.  The propagation visits each member's in-edges in the order the
+    members joined, every in-edge, not only those of R."""
+    red = {t}
+    members = [t]
+    hits = Counter()
+    touched = []
+    for s in members:
+        for m in g.preds[s]:
+            if m in red:
+                continue
+            hits[m] += 1
+            if hits[m] == len(g.succs[m]):
+                red.add(m)
+                members.append(m)
+            elif hits[m] == 1:
+                touched.append(m)
+    ss = g.succs[t]
+    first = [t] if len(ss) == 2 and (ss[0] in red) != (ss[1] in red) else []
+    return first + [m for m in touched if m not in red]
+
+
+def reference_rows(g: Cfg, targets) -> tuple[list[tuple[int, int]], int]:
+    """The rows of a ``controllers`` pass, and how many targets copied: a
+    target entered only from an earlier target u, by u's only out-edge,
+    repeats u's controllers in u's order; every other target lists its
+    own in touch order."""
+    rows = []
+    copies = 0
+    earlier: dict[int, list[int]] = {}
+    for i, t in enumerate(targets):
+        ps = g.preds[t]
+        if len(ps) == 1 and g.succs[ps[0]] == (t,) and ps[0] in earlier:
+            found = earlier[ps[0]]
+            copies += 1
+        else:
+            found = touch_order_controllers(g, t)
+        earlier[t] = found
+        rows += [(p, i) for p in found]
+    return rows, copies
+
+
+def assert_rows_in_reference_order(g: Cfg, rng: Random) -> int:
+    """``ntscd_new_rows`` and the passes of one instance over partial lists
+    equal the reference, order included.  The partial lists are what
+    ``strong_closure_nodes`` passes: rounds of distinct nodes, none seen in
+    an earlier round, in ascending or shuffled order.  Returns the copies."""
+    n = len(g)
+    rows, copies = reference_rows(g, range(n))
+    assert ntscd_new_rows(g) == rows
+    eng = Coloring(g)
+    left = rng.sample(range(n), n)
+    while left:
+        k = rng.randint(1, len(left))
+        batch, left = left[:k], left[k:]
+        if rng.random() < 0.5:
+            batch.sort()
+        rows, c = reference_rows(g, batch)
+        assert eng.controllers(batch) == rows
+        copies += c
+    return copies
+
+
+def test_controllers_rows_come_in_touch_order_on_the_continuation_corpus():
+    copies = [assert_rows_in_reference_order(g, Random(seed)) for seed, g in enumerate(continuation_corpus())]
+    assert sum(copies) >= 3000 and sum(map(bool, copies)) >= 280
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cfgs(max_nodes=9), st.integers(0, 2**16))
+def test_controllers_rows_come_in_touch_order(g, seed):
+    assert_rows_in_reference_order(g, Random(seed))
+
+
+def propagations_copies_outside(monkeypatch, g: Cfg) -> tuple[int, int, int]:
+    """The propagations ``ntscd_new_rows`` runs through the shared kernel,
+    the targets that copy an earlier target's rows, and the targets outside
+    R, the nodes some predicate's successor reaches."""
+    calls = 0
+    propagate = coloring._propagate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return propagate(*args)
+
+    monkeypatch.setattr(coloring, "_propagate", counted)
+    ntscd_new_rows(g)
+    monkeypatch.undo()
+    inside = reach(g.succs, [s for p in predicate_indices(g) for s in g.succs[p]])
+    copies = sum(len(g.preds[t]) == 1 and g.succs[g.preds[t][0]] == (t,) and g.preds[t][0] < t for t in inside)
+    return calls, copies, len(g) - len(inside)
+
+
+def test_a_pass_counts_one_propagation_per_target_in_r_that_copies_nothing(monkeypatch, fig3, fig4, fig5, fig7):
+    labels = [f"c{i}" for i in range(50)]
+    graphs = {
+        # The first node is outside R in each figure; every node of R is
+        # entered from a predicate or by two in-edges, but on fig7's cycle
+        # n3, n4, n6 and n8, each entered only from the node before.
+        "fig3": (fig3, (5, 0, 1)),
+        "fig4": (fig4, (2, 0, 1)),
+        "fig5": (fig5, (3, 0, 1)),
+        "fig7": (fig7, (6, 4, 1)),
+        "chain": (Cfg(labels, list(zip(labels, labels[1:]))), (0, 0, 50)),  # no predicate, so R is empty
+        # Each rung's first arm nodes and join propagate; the second arm
+        # nodes and every p_i but p0 copy; p0 is outside R.
+        "open-ladder": (diamond_ladder(10, False, 2), (30, 29, 1)),
+        "random-300": (random_cfg(300, 450, 5), (213, 12, 75)),
+    }
+    for name, (g, expected) in graphs.items():
+        counts = propagations_copies_outside(monkeypatch, g)
+        assert counts == expected, name
+        assert sum(counts) == len(g), name

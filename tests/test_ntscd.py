@@ -36,8 +36,9 @@ from conftest import (
     FIG1_NTSCD,
     FIG3_NTSCD,
     FIG3_NTSCD_FIFO,
+    continuation_corpus,
     diamond_ladder,
-    fed_cycle_cfg,
+    predicate_free_region_corpus,
     small_cfgs,
 )
 
@@ -164,54 +165,6 @@ def test_ranganath_is_sound_under_any_policy(g):
                 assert n == p or not oracle_exists_maximal_avoiding(g, branch_target, n)
 
 
-def behind_prefix(body: Cfg, k: int, seed: int, tail: int = 0, loops: bool = False) -> Cfg:
-    """``body`` entered at its first node from a k-node prefix, with a
-    ``tail``-node path hung off the first node of ``body`` that has fewer
-    than two out-edges (if any), ending in a self-loop when ``tail`` is
-    odd.  Each prefix node leads to the next by one edge or by two parallel
-    edges (not a predicate); with ``loops``, one in ten does so beside a
-    self-loop, which makes it a predicate of its own."""
-    rng = Random(seed)
-    prefix = [f"h{i}" for i in range(k)]
-    path = [f"z{i}" for i in range(tail)]
-    edges = []
-    for a, b in zip(prefix, prefix[1:] + [body.labels[0]]):
-        kind = rng.random()
-        edges += [(a, a), (a, b)] if loops and kind < 0.1 else [(a, b)] * (1 + (kind < 0.3))
-    edges += body.edges()
-    hooks = [v for v, ss in zip(body.labels, body.succs) if len(ss) < 2][:1]
-    if path and hooks:
-        edges += zip(hooks + path, path + [path[-1]] * (tail % 2))
-    return Cfg(prefix + list(body.labels) + path, edges)
-
-
-def ring(k: int) -> Cfg:
-    labels = [f"r{i}" for i in range(k)]
-    return Cfg(labels, list(zip(labels, labels[1:] + labels[:1])))
-
-
-def predicate_free_region_corpus() -> list[Cfg]:
-    """Graphs whose predicates, if any, are reached only behind a chain:
-    chain prefixes of 1-30 nodes feeding ladders, fed cycles, rings and
-    random graphs, with and without predicate-free sink tails, and graphs
-    with no predicate at all."""
-    graphs = []
-    for k in range(1, 31):
-        bodies = [
-            diamond_ladder(1 + k % 4, closed=k % 3 == 0, arm=1 + k % 2),
-            fed_cycle_cfg(k, cycle=(3, 12), feeders=(1, 3)),
-            random_cfg(2 + k % 17, 7 * k % (5 + 2 * (k % 17)), k),
-            ring(1 + k % 5),
-            Cfg(["b"], []),
-        ]
-        for i, body in enumerate(bodies):
-            # A tail leaves a cycle open, so only odd k hang one.
-            graphs.append(behind_prefix(body, k, 31 * k + i, tail=(k + i) % 7 * (k % 2), loops=i < 3))
-    graphs += [behind_prefix(Cfg(["b"], [("b", "b")]), k, k) for k in range(1, 31)]
-    graphs += [Cfg([f"n{i}" for i in range(k)], []) for k in range(1, 4)]
-    return graphs
-
-
 def test_predicate_free_regions_leave_every_relation_unchanged():
     # A propagation walks in-edges only of nodes some predicate reaches;
     # that must not lose or add a controller, on graphs whose predicates
@@ -308,10 +261,7 @@ def test_continuations_share_controllers_on_structured_graphs():
     # Chain prefixes and sink tails, cycle segments between feeders, and
     # ladder arms longer than one node all hold continuations; so do the
     # whole of a ring and of the prefix ahead of a self-loop.
-    graphs = predicate_free_region_corpus()
-    graphs += [fed_cycle_cfg(seed) for seed in range(120)]
-    graphs += [diamond_ladder(rungs, closed, arm) for rungs in (1, 4) for closed in (False, True) for arm in (1, 3)]
-    counts = [assert_continuations_share_controllers(g, seed) for seed, g in enumerate(graphs)]
+    counts = [assert_continuations_share_controllers(g, seed) for seed, g in enumerate(continuation_corpus())]
     assert sum(counts) >= 3000 and sum(map(bool, counts)) >= 280
 
 
