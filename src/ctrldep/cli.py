@@ -29,7 +29,7 @@ from typing import Callable, Collection, Iterable, Iterator, Literal, NamedTuple
 
 from .cfg import Cfg, ParseError, parse_cfg, predicate_indices, serialize_cfg
 from .closures import ClosureSpec, ClosureSpecError, closure_labels, strong_closure_nodes
-from .coloring import vp_sets
+from .coloring import VpMap, vp_sets
 from .dod import dod_formula_rows, dod_from_vp_rows, dod_labels
 from .generate import MAX_NODES, MAX_REDUCIBLE_DEPTH, random_cfg, random_reducible_cfg, worst_case_dod_cfg
 from .ntscd import (
@@ -44,10 +44,17 @@ from .oracle import ORACLE_MAX_NODES, BudgetError, oracle_relations
 
 
 class RunOptions(NamedTuple):
-    """What an algorithm reads besides the graph, parsed before any timing."""
+    """What an algorithm reads besides the graph, parsed before any timing.
+
+    ``vp`` is the graph's all-paths map (``vp_sets``), given to the four ids
+    that read one: ntscd-vp, dod-new, dod-formula and dod-formula-fixed.
+    ``check`` builds one per graph for all four; analyze, diff and bench
+    leave it None, so each run, and each bench rep, builds its own.
+    """
 
     policy: WorklistPolicy = "fifo"
     spec: ClosureSpec | None = None
+    vp: VpMap | None = None
 
 
 # What check and bench run every id with; analyze and diff parse their own.
@@ -84,17 +91,22 @@ class Algorithm:
         return LABELS[self.kind](g, rows) if rows else frozenset()
 
 
+def _vp(g: Cfg, opts: RunOptions) -> VpMap:
+    """The all-paths map ``opts`` carries, or a new one for ``g``."""
+    return vp_sets(g) if opts.vp is None else opts.vp
+
+
 # ntscd-rang is not gated: under a popping policy it is known to be
 # order-sensitive and wrong on some graphs, which is why it is kept.  The
 # original DOD formula over-approximates, so it is gated as a superset.
 ALGORITHMS: dict[str, Algorithm] = {
     "ntscd-new": Algorithm("ntscd", lambda g, o: ntscd_new_rows(g), "equal"),
-    "ntscd-vp": Algorithm("ntscd", lambda g, o: ntscd_from_vp_rows(g, vp_sets(g)), "equal"),
+    "ntscd-vp": Algorithm("ntscd", lambda g, o: ntscd_from_vp_rows(g, _vp(g, o)), "equal"),
     "ntscd-rang": Algorithm("ntscd", lambda g, o: ntscd_ranganath_rows(g, o.policy), None),
     "ntscd-rang-fixed": Algorithm("ntscd", lambda g, o: ntscd_ranganath_fixed_rows(g), "equal"),
-    "dod-new": Algorithm("dod", lambda g, o: dod_from_vp_rows(g, vp_sets(g)), "equal"),
-    "dod-formula": Algorithm("dod", lambda g, o: dod_formula_rows(g, "original"), "superset"),
-    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula_rows(g, "fixed"), "equal"),
+    "dod-new": Algorithm("dod", lambda g, o: dod_from_vp_rows(g, _vp(g, o)), "equal"),
+    "dod-formula": Algorithm("dod", lambda g, o: dod_formula_rows(g, "original", o.vp), "superset"),
+    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula_rows(g, "fixed", o.vp), "equal"),
     "cc": Algorithm("closure", lambda g, o: strong_closure_nodes(g, o.spec), None),
 }
 
@@ -324,8 +336,16 @@ def differential_failures(g: Cfg) -> list[str]:
 
 
 def _compare(g: Cfg) -> tuple[list[str], dict[str, frozenset], dict[str, frozenset | str]]:
-    """``differential_failures``, with the relations compared: the oracle's by kind, each gated id's by id."""
+    """``differential_failures``, with the relations compared: the oracle's
+    by kind, each gated id's by id.  The ids that read an all-paths map
+    share one ``vp_sets`` map of ``g``, built here.  If building it raises,
+    each of them builds its own, which raises again and is reported as that
+    id's failure, as when each builds its own on every graph."""
     truth = oracle_relations(g)
+    try:
+        opts = RunOptions(vp=vp_sets(g))
+    except Exception:
+        opts = DEFAULT_OPTIONS
     failures: list[str] = []
     results: dict[str, frozenset | str] = {}
     for algo_id, algo in ALGORITHMS.items():
@@ -333,7 +353,7 @@ def _compare(g: Cfg) -> tuple[list[str], dict[str, frozenset], dict[str, frozens
             continue
         # To check, a variant that raises is a mismatch, not a crash.
         try:
-            result = results[algo_id] = algo.relation(g, DEFAULT_OPTIONS)
+            result = results[algo_id] = algo.relation(g, opts)
         except Exception as exc:
             result = results[algo_id] = f"raised {type(exc).__name__}: {exc}"
         if isinstance(result, str):

@@ -236,8 +236,35 @@ class VpMap:
 
     @cached_property
     def index_sets(self) -> list[frozenset[int]]:
-        """Every vp(v) as an index set, built on first access."""
-        return [frozenset(self.chain(v)) for v in range(len(self.parent))]
+        """Every vp(v) as an index set, built on first access in one pass
+        over the pointers: vp(v) = {v} | vp(parent[v]), each set built once
+        from its parent's, and one shared set for the nodes of a pointer
+        cycle.  O(|V|) pointer steps, plus the sizes of the sets built."""
+        parent = self.parent
+        n = len(parent)
+        sets: list = [None] * n
+        walk = [-1] * n  # the start of the walk that last passed a node
+        for v in range(n):
+            path = []
+            y = v
+            # Up to a chain's end, a node already built, or a node of this walk.
+            while y >= 0 and sets[y] is None and walk[y] != v:
+                walk[y] = v
+                path.append(y)
+                y = parent[y]
+            if y < 0:
+                base: frozenset[int] = frozenset()
+            elif sets[y] is None:  # closed the pointer cycle through y
+                cycle = path[path.index(y):]
+                del path[-len(cycle):]
+                base = frozenset(cycle)
+                for x in cycle:
+                    sets[x] = base
+            else:
+                base = sets[y]
+            for x in reversed(path):
+                sets[x] = base = base | {x}
+        return sets
 
     def __getitem__(self, label: str) -> frozenset[str]:
         return frozenset(self.g.labels[i] for i in self.chain(self.g.index[label]))

@@ -260,21 +260,22 @@ def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
     return dod_labels(g, dod_from_vp_rows(g, vp))
 
 
-def dod_formula_rows(g: Cfg, variant: str = "original") -> DodBlocks:
+def dod_formula_rows(g: Cfg, variant: str = "original", vp: VpMap | None = None) -> DodBlocks:
     """Pairwise-formula DOD: for every predicate p and pair {a, b}, require
     mutual reachability and opposite first-occurrence orders from the two
     branches.
 
     ``variant`` selects the mutual-reachability test: "original" uses plain
     reachability (which over-approximates the true relation), "fixed" uses
-    membership on all maximal paths.
+    membership on all maximal paths.  Both read the all-paths sets of
+    ``vp``, ``g``'s ``vp_sets`` map, or of a new one when ``vp`` is None.
     """
     if variant not in ("original", "fixed"):
         raise ValueError(f"unknown variant {variant!r}; expected 'original' or 'fixed'")
     n = len(g.labels)
     if n == 0:
         return []
-    vsets = vp_sets(g).index_sets
+    vsets = (vp_sets(g) if vp is None else vp).index_sets
     sets = vsets if variant == "fixed" else [reach(g.succs, (v,)) for v in range(n)]
     # The formula is symmetric: {a, b} passes from a in one orientation
     # iff it passes from b in the other, so a's block takes only the b

@@ -106,40 +106,48 @@ def _avoid_tables(g: Cfg) -> tuple[list[list[int]], list[int]]:
     """For each node x: the reach masks of G - x (entry s holds the nodes s
     reaches without touching x, s itself included; entry x is 0), and the
     escape mask of x: each s != x with a maximal path that avoids x.  Both
-    are empty on a graph without predicates, which asks no query."""
+    are empty on a graph without predicates, which asks no query.
+
+    Each node's bit and successors are read from one (v, 1 << v, succs[v])
+    triple per node, in postorder, so the fixpoint and the end test look
+    up nothing else per node; v reaches itself in G - x when the OR of its
+    successors' reach masks holds v."""
     if not predicate_indices(g):
         return [], []
     n = len(g.labels)
     succs = g.succs
-    order = _postorder(g)
+    nodes = [(v, 1 << v, succs[v]) for v in _postorder(g)]
     sinks = sum(1 << v for v in range(n) if not succs[v])
     reach_by_x: list[list[int]] = []
     escape_by_x: list[int] = []
     for x in range(n):
         # r[x] stays 0, so x cuts every path through it; successors come
-        # first in ``order``, so an acyclic part settles in one pass.
+        # first in postorder, so an acyclic part settles in one pass.
         r = [0] * n
         changed = True
         while changed:
             changed = False
-            for v in order:
+            for v, bit, ss in nodes:
                 if v == x:
                     continue
-                m = 1 << v
-                for t in succs[v]:
+                m = bit
+                for t in ss:
                     m |= r[t]
                 if m != r[v]:
                     r[v] = m
                     changed = True
         # No entry holds x, so neither a sink x nor a cycle through x counts.
         ends = sinks
-        for v in range(n):
-            if any(r[t] >> v & 1 for t in succs[v]):
-                ends |= 1 << v
+        for v, bit, ss in nodes:
+            m = 0
+            for t in ss:
+                m |= r[t]
+            if m & bit:
+                ends |= bit
         escape = 0
-        for s in range(n):
-            if r[s] & ends:
-                escape |= 1 << s
+        for v, bit, ss in nodes:
+            if r[v] & ends:
+                escape |= bit
         reach_by_x.append(r)
         escape_by_x.append(escape)
     return reach_by_x, escape_by_x

@@ -38,6 +38,7 @@ from ctrldep import (
     strong_closure,
     worst_case_dod_cfg,
 )
+from ctrldep import dod as dod_module
 from ctrldep.cfg import reach
 from ctrldep.coloring import vp_sets
 from ctrldep.dod import dod_labels
@@ -705,6 +706,72 @@ def test_check_reports_a_raising_gated_variant(error, fig7, tmp_path, capsys, mo
     # An oracle over its budget is still a flag error, not a mismatch.
     path.write_text(serialize_cfg(worst_case_dod_cfg(68)))
     assert cli.main(["check", "--input", str(path), "--fail-out", str(fail_out)]) == 2
+
+
+VP_READERS = ["ntscd-vp", "dod-new", "dod-formula", "dod-formula-fixed"]
+
+
+def count_vp_sets(monkeypatch, raising: bool = False) -> list[tuple[str, object]]:
+    """Route ``vp_sets`` under the names ``cli`` and ``dod`` import it by
+    through a list of calls, returned: each call appends the importing
+    module's name and the map it returns (kept alive), or None and raises."""
+    calls: list[tuple[str, object]] = []
+    for module in (cli, dod_module):
+
+        def counted(g, name=module.__name__):
+            calls.append((name, None if raising else vp_sets(g)))
+            if raising:
+                raise RuntimeError("no map")
+            return calls[-1][1]
+
+        monkeypatch.setattr(module, "vp_sets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph", ["fig7", "fed-cycle"])
+def test_check_builds_one_all_paths_map_and_one_oracle_per_graph(graph, fig7, monkeypatch):
+    g = fig7 if graph == "fig7" else fed_cycle_cfg(3, (6, 10), (2, 3))
+    assert oracle_dod(g)  # every id that reads the map has pairs to find
+    expected = cli.differential_failures(g)
+    calls = count_vp_sets(monkeypatch)
+    oracle_calls = []
+    oracle = cli.oracle_relations
+
+    def counted_oracle(h):
+        oracle_calls.append(h)
+        return oracle(h)
+
+    monkeypatch.setattr(cli, "oracle_relations", counted_oracle)
+    assert cli.differential_failures(g) == expected == []
+    assert [name for name, _ in calls] == ["ctrldep.cli"]
+    assert oracle_calls == [g]
+
+
+def test_check_reports_each_id_that_reads_a_raising_all_paths_map(fig7, tmp_path, capsys, monkeypatch):
+    calls = count_vp_sets(monkeypatch, raising=True)
+    failures = [f"{algo} raised RuntimeError: no map" for algo in VP_READERS]
+    assert cli.differential_failures(fig7) == failures
+    # check's map, then one per id, each of which raises in turn
+    assert [name for name, _ in calls] == ["ctrldep.cli"] * 3 + ["ctrldep.dod"] * 2
+    path = tmp_path / "fig7.json"
+    path.write_text(serialize_cfg(fig7))
+    fail_out = tmp_path / "mismatch.json"
+    assert cli.main(["check", "--input", str(path), "--fail-out", str(fail_out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1:6] == [f"mismatch (graph written to {fail_out}):"] + ["  " + f for f in failures]
+    assert f"replay: ctrldep check --input {fail_out}" in lines
+    assert "Traceback" not in captured.out + captured.err
+    assert parse_cfg(fail_out.read_text()) == fig7
+
+
+def test_bench_builds_an_all_paths_map_per_timed_run(tmp_path, monkeypatch):
+    # dod-new takes its map through ``cli``, dod-formula-fixed through ``dod``.
+    calls = count_vp_sets(monkeypatch)
+    argv = ["bench", "--shape", "dod-worst", "--nodes", "12", "--algos", "dod-new,dod-formula-fixed"]
+    assert cli.main([*argv, "--reps", "3", "--csv", str(tmp_path / "b.csv")]) == 0
+    assert [name for name, _ in calls] == ["ctrldep.cli"] * 3 + ["ctrldep.dod"] * 3
+    assert len({id(vp) for _, vp in calls}) == 6  # six maps alive at once
 
 
 @pytest.mark.parametrize(

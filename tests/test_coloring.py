@@ -256,6 +256,36 @@ def test_vp_sets_are_invariant_under_reordering_and_swapped_branches():
             assert [vh[label] for label in g.labels] == expected
 
 
+def assert_index_sets_follow_the_chains(vp: coloring.VpMap) -> None:
+    """``index_sets`` is every chain as a set, and the nodes of one pointer
+    cycle share one set."""
+    sets = vp.index_sets
+    assert sets == [frozenset(vp.chain(v)) for v in range(len(vp.parent))]
+    for x, least in vp.root_cycle.items():
+        assert sets[x] is sets[least]
+
+
+def test_index_sets_are_the_chains_on_a_fixed_corpus():
+    rng = Random(27)
+    graphs = [random_cfg(n, rng.randint(0, 2 * n), rng.getrandbits(32)) for n in range(2, 61) for _ in range(10)]
+    # A duplicate edge out of a, a self-loop on b, and a two-node cycle.
+    graphs.append(Cfg(["a", "b", "c", "d"], [("a", "b"), ("a", "b"), ("b", "c"), ("b", "b"), ("c", "d"), ("d", "c")]))
+    graphs += fed_cycle_corpus() + [worst_case_dod_cfg(n) for n in range(8, 65, 4)]
+    graphs += [diamond_ladder(r, closed, arm) for r in (1, 3, 10) for closed in (False, True) for arm in (1, 2)]
+    for g in graphs:
+        assert_index_sets_follow_the_chains(vp_sets(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_cfgs(max_nodes=12), st.data())
+def test_index_sets_are_the_chains(g, data):
+    # Also on arbitrary pointers: several cycles, self-pointers, and trees
+    # hanging off both, which ``vp_sets`` may never produce.
+    assert_index_sets_follow_the_chains(vp_sets(g))
+    parent = data.draw(st.lists(st.integers(-1, len(g) - 1), min_size=len(g), max_size=len(g)))
+    assert_index_sets_follow_the_chains(coloring.VpMap(g, parent))
+
+
 def test_vp_sets_steps_grow_linearly_on_the_worst_case_and_ladders():
     # Worst case, n/2 predicates into an n/2-node cycle: the first
     # examination's fingers collide on the cycle (n/2 steps), the walk that
