@@ -270,32 +270,22 @@ class VpMap:
         return frozenset(self.g.labels[i] for i in self.chain(self.g.index[label]))
 
 
-_STOP = 1 << 28  # mark of a chain's end, above every generation: ends every walk
-_CYCLIC = -1  # fate of a node on a pointer cycle with a predicate on it
+# A chain's end, and the base of the permanent stamps, above every generation:
+# each examination adds 3 to gen, so reaching it takes about 1.5e18 of them.
+_STOP = 1 << 62
 
 
-def _settle(vp: VpMap, mark: list[int], fate: dict[int, int], a: int) -> None:
-    """Record for good the pointer cycle through ``a``.  With no predicate
-    on it no pointer of it ever moves, so it is stamped permanent, above
-    every generation, with a stamp of its own; else its nodes' fate is
-    ``_CYCLIC``, since a node on a pointer cycle stays on one."""
+def _settle(vp: VpMap, mark: list[int], a: int) -> None:
+    """Stamp the pointer cycle through ``a`` permanent, above every
+    generation, with a stamp of its own: no pointer of a pointer cycle
+    ever moves (the cycle lemma, in ``vp_sets``)."""
     parent = vp.parent
-    cyc = [a]
-    y = parent[a]
-    while y != a:
-        cyc.append(y)
-        y = parent[y]
-    vp.steps += len(cyc)
-    succs = vp.g.succs
-    for y in cyc:
-        ss = succs[y]
-        if ss[0] != ss[-1]:  # a predicate
-            for y in cyc:
-                fate[y] = _CYCLIC
-            return
     stamp = _STOP + 1 + a
-    for y in cyc:
+    y = a
+    while mark[y] != stamp:
         mark[y] = stamp
+        y = parent[y]
+        vp.steps += 1
 
 
 def _on_cycle(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: int) -> bool:
@@ -304,8 +294,6 @@ def _on_cycle(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: i
     with no parent or on a permanent cycle.  Each node walked gets that end
     as its fate; it stays true while the end has no parent, and a later
     walk stops at a node it holds true for.  A cycle closed is settled."""
-    if fate.get(z) == _CYCLIC:
-        return True
     parent = vp.parent
     path = []
     y = z
@@ -319,8 +307,7 @@ def _on_cycle(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: i
     else:
         if mark[y] == stamp:  # closed the cycle through y
             vp.steps += len(path)
-            if fate.get(y) != _CYCLIC:
-                _settle(vp, mark, fate, y)
+            _settle(vp, mark, y)
             return y == z
         end = y if y >= 0 else path[-1]  # on a permanent cycle, or with no parent
     vp.steps += len(path)
@@ -329,17 +316,11 @@ def _on_cycle(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: i
     return False
 
 
-def _entry(vp: VpMap, mark: list[int], s: int, z: int, stamp: int) -> int:
-    """The first node of chain(s) on the pointer cycle through ``z``, which
-    chain(s) reaches."""
+def _entry(vp: VpMap, mark: list[int], s: int, z: int) -> int:
+    """The first node of chain(s) on the permanent cycle through ``z``,
+    which chain(s) reaches: the first that has ``z``'s stamp."""
     parent = vp.parent
-    if mark[z] > _STOP:  # a permanent cycle's nodes share their stamp
-        stamp = mark[z]
-    y = z
-    while mark[y] != stamp:
-        mark[y] = stamp
-        y = parent[y]
-        vp.steps += 1
+    stamp = mark[z]
     y = s
     while mark[y] != stamp:
         y = parent[y]
@@ -370,13 +351,32 @@ def vp_sets(g: Cfg) -> VpMap:
 
     Sets only grow, so ``parent[v]`` stays on both chains, at or after the
     meet x on chain(s2); x is on chain(parent[v]) exactly when it is
-    ``parent[v]`` or lies on a pointer cycle, and a node on a pointer cycle
-    stays on one.  Only predicates' pointers move, so a pointer cycle with
-    no predicate on it is a permanent root: the first walk to close it
-    stamps it above every generation, and later walks stop at its first
+    ``parent[v]`` or lies on a pointer cycle.  No pointer of a pointer
+    cycle ever moves (below), so the first walk to close one stamps it
+    permanent, above every generation, and later walks stop at its first
     node; two chains that stop in the same one meet where chain(s2)
     entered it.  Whether a meet is on a cycle is read off a walk to its
     chain's end, remembered per node while that end stays a root.
+
+    The cycle lemma: a pointer cycle C is P(c), the nodes on every maximal
+    path from c, for each c on C.  So no pointer of C moves: by (a) below
+    a predicate c's meet is in P(c), so on C = chain(parent[c]).  Two facts
+    hold at the start and after every move.  (a) ``parent[v]`` is in P(v),
+    as the meet is on both successors' chains.  (b) No node z but v is
+    reached before ``parent[v]`` on every maximal path from v.  Else z is
+    reached before the meet x on every path from s1 and from s2.  Down
+    either chain, at each node w before x, unless w is z, (b) gives a path
+    from w that reaches parent[w] no later than z, so z is parent[w] or is
+    reached before x on every path from parent[w].  So z is on both chains
+    before x, and the meet is not x.  Now by (a) every path from c on C
+    visits all of D = P(c) over and over.  After a node d of C, the first
+    node of D is the same on every path.  It is not d, or a loop back to d
+    repeated would miss the rest of D.  Were it d1 on one path and d2 on
+    another, every path from d1 would reach d2 before d (else a loop
+    through d and d1 repeated misses d2), and the other way round, so
+    alternating would give a path from d1 that misses d.  By (b) that node
+    is parent[d]: the nodes of D a path from c visits are all on C, so
+    C = D.
 
     ``VpMap.steps`` counts the pointer steps of every walk.
     """
@@ -392,17 +392,12 @@ def vp_sets(g: Cfg) -> VpMap:
     stop = _STOP
     mark = [0] * (n + 1)
     mark[n] = stop  # read as mark[-1]: a chain's end stops the fingers
-    fate: dict[int, int] = {}  # node -> its chain's end when last walked, or _CYCLIC
+    fate: dict[int, int] = {}  # node -> its chain's end when last walked
     gen = 0  # an examination stamps gen and gen + 1 (the fingers), gen + 2 (cycle tests)
     steps = 0
     k = len(branching)
     quiet = 0  # predicates examined since the last move
     while quiet < k:
-        if gen + 3 * k + 3 > stop:  # keep a round's stamps below the permanent ones
-            for i in range(n):
-                if mark[i] < stop:
-                    mark[i] = 0
-            gen = 0
         for v in branching:
             if quiet == k:
                 break
@@ -435,8 +430,8 @@ def vp_sets(g: Cfg) -> VpMap:
                     x, sx, w, sw = a, gen, b, g1
                 mx = mark[x]
                 if mx != sw:  # x's chain is walked whole, so the other finger goes on alone
-                    if mx == sx and fate.get(x) != _CYCLIC:
-                        _settle(vp, mark, fate, x)
+                    if mx == sx:  # closed a pointer cycle
+                        _settle(vp, mark, x)
                         mx = mark[x]
                     while mark[w] < gen:
                         mark[w] = sw
@@ -458,7 +453,7 @@ def vp_sets(g: Cfg) -> VpMap:
                 if parent[x] >= 0 and _on_cycle(vp, mark, fate, x, gen + 2):
                     if q >= 0:
                         continue
-                    x = _entry(vp, mark, s2, x, gen + 2)
+                    x = _entry(vp, mark, s2, x)
                     if x == v:
                         continue
                 parent[v] = x
@@ -475,7 +470,7 @@ def vp_sets(g: Cfg) -> VpMap:
                 if t != v and parent[v] != t:
                     parent[v] = t
                     quiet = 0
-            elif s >= 0 and mark[s] == gen and fate.get(s) != _CYCLIC:
-                _settle(vp, mark, fate, s)
+            elif s >= 0 and mark[s] == gen:  # closed a pointer cycle
+                _settle(vp, mark, s)
     vp.steps += steps
     return vp

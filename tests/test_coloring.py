@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
@@ -165,7 +166,9 @@ def test_vp_sets_match_one_propagation_per_node(shape):
 
 def sweep_fixpoint(g: Cfg) -> list[int]:
     """``vp_sets``' pointers by the plain fixpoint of its meet rule: whole
-    sweeps over the reversed predicates until a sweep moves nothing."""
+    sweeps over the reversed predicates until a sweep moves nothing.
+    Checks the cycle lemma on the way: no predicate on a pointer cycle
+    moves."""
     parent = [-1] * len(g)
     for v, ss in enumerate(g.succs):
         if ss and ss[0] == ss[-1] != v:
@@ -186,6 +189,7 @@ def sweep_fixpoint(g: Cfg) -> list[int]:
             on_s1 = set(chain(s1))
             meet = next((x for x in chain(s2) if x in on_s1), -1)
             if meet >= 0 and meet != v and meet not in chain(parent[v]):
+                assert v not in chain(parent[v]), "a predicate on a pointer cycle moved"
                 parent[v] = meet
                 moved = True
     return parent
@@ -207,9 +211,9 @@ def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep():
 
 def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep_on_large_cycles():
     # Cycles far longer than the 30 nodes of the fed-cycle corpus: the
-    # worst case's and the fed cycles' hold no predicate, so walks stop at
-    # their first node once one walk has closed them; a closed ladder's
-    # root cycle holds every predicate, so none is ever permanent.
+    # worst case's and the fed cycles' hold no predicate, a closed ladder's
+    # root cycle holds every predicate; either way walks stop at a cycle's
+    # first node once one walk has closed it.
     graphs = [worst_case_dod_cfg(n) for n in (128, 256, 512)]
     graphs += [fed_cycle_cfg(seed, cycle=(100, 200), feeders=(20, 40)) for seed in range(4)]
     graphs += [diamond_ladder(r, True, arm) for r in (30, 60) for arm in (1, 2)]
@@ -217,16 +221,35 @@ def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep_on_large_cycles():
         assert vp_sets(g).parent == sweep_fixpoint(g)
 
 
-def test_vp_sets_renumbers_its_stamps_below_the_permanent_ones(monkeypatch):
-    # With the ceiling of the stamps just above one round's worth, every
-    # round after the first starts by renumbering them.
-    graphs = fed_cycle_corpus()[:100] + [worst_case_dod_cfg(n) for n in range(8, 65, 8)]
-    graphs += [diamond_ladder(r, closed, 2) for r in range(1, 9) for closed in (False, True)]
-    graphs += [random_cfg(n, 3 * n // 2, s) for n in range(4, 40) for s in range(3)]
-    expected = [vp_sets(g).parent for g in graphs]
-    for g, parent in zip(graphs, expected):
-        monkeypatch.setattr(coloring, "_STOP", 3 * len(predicate_indices(g)) + 3)
-        assert vp_sets(g).parent == parent
+def every_small_cfg(max_nodes: int):
+    """Every graph of 1 to ``max_nodes`` nodes with at most two out-edges
+    per node, to distinct targets in either order, self-loops included."""
+    for n in range(1, max_nodes + 1):
+        labels = [str(i) for i in range(n)]
+        outs = [()] + [(t,) for t in range(n)] + [(t, u) for t in range(n) for u in range(n) if t != u]
+        for choice in product(outs, repeat=n):
+            yield Cfg(labels, [(labels[v], labels[t]) for v, ts in enumerate(choice) for t in ts])
+
+
+def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep_on_every_small_graph():
+    # The pointers, and the cycle lemma that sweep_fixpoint asserts, on
+    # every graph of at most 4 nodes.  Duplicate edges are left out, since
+    # vp_sets reads (t, t) as (t,).
+    count = 0
+    for g in every_small_cfg(4):
+        assert vp_sets(g).parent == sweep_fixpoint(g)
+        count += 1
+    assert count == 84_548
+
+
+def test_vp_sets_steps_on_the_random_quiet_sweep_graphs():
+    # The random graphs of the quiet-sweep test.  Walks stop at the first
+    # node of every pointer cycle a walk has closed, one with a predicate
+    # on it too: on random_cfg(6, 9, 1) the cycle n3 -> n4 -> n3 holds the
+    # predicate n4, and n4's second examination stops both fingers at n3.
+    assert vp_sets(random_cfg(6, 9, 1)).steps == 11
+    graphs = [random_cfg(n, e, s) for n in range(1, 61) for e in (n // 2, n, 3 * n // 2, 2 * n) for s in range(9)]
+    assert sum(vp_sets(g).steps for g in graphs) == 42_042
 
 
 def shuffled(g: Cfg, seed: int) -> Cfg:
