@@ -22,10 +22,8 @@ deep graphs are safe.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import cycle
 from typing import Iterable, Iterator, Sequence
 
 from .cfg import Cfg, predicate_indices
@@ -206,9 +204,10 @@ class VpMap:
 
     def fed_root(self, p: int) -> int:
         """The root cycle C with vp(p) = {p} | C, named by its least node;
-        -1 when ``parent[p]`` is on no root cycle or ``p`` is on it.  O(1),
-        and without building the root-cycle map when ``parent[p]`` or its
-        parent is -1 or ``p``."""
+        -1 when ``parent[p]`` is on no root cycle or ``p`` is on it.  O(1)
+        once ``root_cycle`` is built, by one O(|V|) walk per map; a call
+        whose ``parent[p]``, or its parent, is -1 or ``p`` does not build
+        it."""
         q = self.parent[p]
         if q < 0 or self.parent[q] in (-1, p) or p in self.root_cycle:
             return -1
@@ -216,52 +215,47 @@ class VpMap:
 
     @cached_property
     def root_cycle(self) -> dict[int, int]:
-        """Each node on a root cycle, mapped to the cycle's least node.  The
-        cycles are what is left after peeling off, leaves first, every node
-        no pointer enters.  O(|V|)."""
+        """Each node on a root cycle, mapped to the cycle's least node.  A
+        walk up the pointers from each node marks the nodes it passes with
+        its start, and stops at a chain's end, at a node an earlier walk
+        passed, or at one of its own nodes.  The first walk to reach a
+        cycle passes all of it and stops on its own node, so that walk
+        closes the cycle.  O(|V|)."""
         parent = self.parent
-        entering = Counter(parent)  # key -1 counts the roots, harmlessly
-        leaves = [v for v in range(len(parent)) if not entering[v]]
-        while leaves:
-            q = parent[leaves.pop()]
-            entering[q] -= 1
-            if q >= 0 and not entering[q]:
-                leaves.append(q)
+        walk = [-1] * len(parent)  # the start of the walk that passed a node
         root_cycle: dict[int, int] = {}
         for v in range(len(parent)):
-            if entering[v] and v not in root_cycle:
-                for x in self.chain(v):
-                    root_cycle[x] = v
+            y = v
+            while y >= 0 and walk[y] < 0:
+                walk[y] = v
+                y = parent[y]
+            if y >= 0 and walk[y] == v:  # closed the cycle through y
+                cycle = list(self.chain(y))
+                least = min(cycle)
+                for x in cycle:
+                    root_cycle[x] = least
         return root_cycle
 
     @cached_property
     def index_sets(self) -> list[frozenset[int]]:
-        """Every vp(v) as an index set, built on first access in one pass
-        over the pointers: vp(v) = {v} | vp(parent[v]), each set built once
-        from its parent's, and one shared set for the nodes of a pointer
-        cycle.  O(|V|) pointer steps, plus the sizes of the sets built."""
+        """Every vp(v) as an index set, built on first access: the nodes of
+        each root cycle share one set of the cycle, and every other set is
+        built once from its parent's, vp(v) = {v} | vp(parent[v]).  O(|V|)
+        pointer steps after ``root_cycle``, plus the sizes of the sets
+        built."""
         parent = self.parent
-        n = len(parent)
-        sets: list = [None] * n
-        walk = [-1] * n  # the start of the walk that last passed a node
-        for v in range(n):
+        sets: list = [None] * len(parent)
+        for x, least in self.root_cycle.items():
+            if sets[least] is None:
+                sets[least] = frozenset(self.chain(least))
+            sets[x] = sets[least]
+        for v in range(len(parent)):
             path = []
             y = v
-            # Up to a chain's end, a node already built, or a node of this walk.
-            while y >= 0 and sets[y] is None and walk[y] != v:
-                walk[y] = v
+            while y >= 0 and sets[y] is None:  # up to a chain's end or a built set
                 path.append(y)
                 y = parent[y]
-            if y < 0:
-                base: frozenset[int] = frozenset()
-            elif sets[y] is None:  # closed the pointer cycle through y
-                cycle = path[path.index(y):]
-                del path[-len(cycle):]
-                base = frozenset(cycle)
-                for x in cycle:
-                    sets[x] = base
-            else:
-                base = sets[y]
+            base: frozenset[int] = sets[y] if y >= 0 else frozenset()
             for x in reversed(path):
                 sets[x] = base = base | {x}
         return sets

@@ -206,7 +206,9 @@ def dod_from_vp_rows(g: Cfg, vp: VpMap) -> DodBlocks:
     first reach disjoint classes of C, and the classes must alternate once
     around C.  The segments run from the last node of one class to the
     first of the other, which they exclude.  Two first-hit searches and
-    O(|C|) per predicate that feeds a cycle; O(1) for the others.
+    O(|C|) per predicate that feeds a cycle; O(1) for the others, after one
+    O(|V|) ``VpMap.root_cycle`` walk on the first ``fed_root`` call that
+    reads it.
     """
     out: DodBlocks = []
     cycles: dict[int, tuple[tuple[int, ...], set[int]]] = {}

@@ -122,6 +122,13 @@ def test_fed_cycle_reads_the_root_cycle_a_predicate_feeds(fig7):
     vp = vp_sets(g)
     assert vp.parent == [2, 2, 3, 0]
     assert vp.fed_root(0) == -1
+    # ``vp_sets`` ends without stamping the root cycle {1, 2} permanent,
+    # though 0 and 3 feed it; ``root_cycle`` still finds it.
+    g = Cfg(["0", "1", "2", "3"], [("0", "1"), ("1", "2"), ("2", "0"), ("2", "1"), ("3", "0"), ("3", "1")])
+    vp = vp_sets(g)
+    assert vp.parent == [1, 2, 1, 1]
+    assert [vp.fed_root(p) for p in range(4)] == [1, -1, -1, 1]
+    assert vp.root_cycle == {1: 1, 2: 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -281,11 +288,21 @@ def test_vp_sets_are_invariant_under_reordering_and_swapped_branches():
 
 def assert_index_sets_follow_the_chains(vp: coloring.VpMap) -> None:
     """``index_sets`` is every chain as a set, and the nodes of one pointer
-    cycle share one set."""
+    cycle share one set.  ``root_cycle`` holds exactly the nodes v on
+    chain(parent[v]), each mapped to its chain's least node, and
+    ``fed_root(p)`` names the cycle ``parent[p]`` is on when p is not on it."""
+    parent = vp.parent
+    nodes = range(len(parent))
     sets = vp.index_sets
-    assert sets == [frozenset(vp.chain(v)) for v in range(len(vp.parent))]
+    assert sets == [frozenset(vp.chain(v)) for v in nodes]
+    on_cycle = {v for v in nodes if parent[v] >= 0 and v in vp.chain(parent[v])}
+    assert vp.root_cycle == {v: min(vp.chain(v)) for v in on_cycle}
     for x, least in vp.root_cycle.items():
         assert sets[x] is sets[least]
+    for p in nodes:
+        q = parent[p]
+        fed = min(vp.chain(q)) if q in on_cycle and p not in on_cycle else -1
+        assert vp.fed_root(p) == fed
 
 
 def test_index_sets_are_the_chains_on_a_fixed_corpus():
@@ -297,6 +314,15 @@ def test_index_sets_are_the_chains_on_a_fixed_corpus():
     graphs += [diamond_ladder(r, closed, arm) for r in (1, 3, 10) for closed in (False, True) for arm in (1, 2)]
     for g in graphs:
         assert_index_sets_follow_the_chains(vp_sets(g))
+
+
+def test_cycle_readers_follow_the_chains_on_every_small_pointer_array():
+    # Every parent array of 1-5 nodes: self-pointers, several cycles, and
+    # trees hanging off them, which ``vp_sets`` may never produce.
+    for n in range(1, 6):
+        g = Cfg([str(i) for i in range(n)], [])
+        for parent in product(range(-1, n), repeat=n):
+            assert_index_sets_follow_the_chains(coloring.VpMap(g, list(parent)))
 
 
 @settings(max_examples=200, deadline=None)
