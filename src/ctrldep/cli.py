@@ -105,8 +105,8 @@ ALGORITHMS: dict[str, Algorithm] = {
     "ntscd-rang": Algorithm("ntscd", lambda g, o: ntscd_ranganath_rows(g, o.policy), None),
     "ntscd-rang-fixed": Algorithm("ntscd", lambda g, o: ntscd_ranganath_fixed_rows(g), "equal"),
     "dod-new": Algorithm("dod", lambda g, o: dod_from_vp_rows(g, _vp(g, o)), "equal"),
-    "dod-formula": Algorithm("dod", lambda g, o: dod_formula_rows(g, "original", o.vp), "superset"),
-    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula_rows(g, "fixed", o.vp), "equal"),
+    "dod-formula": Algorithm("dod", lambda g, o: dod_formula_rows(g, "original", _vp(g, o)), "superset"),
+    "dod-formula-fixed": Algorithm("dod", lambda g, o: dod_formula_rows(g, "fixed", _vp(g, o)), "equal"),
     "cc": Algorithm("closure", lambda g, o: strong_closure_nodes(g, o.spec), None),
 }
 

@@ -282,32 +282,28 @@ def _settle(vp: VpMap, mark: list[int], a: int) -> None:
         vp.steps += 1
 
 
-def _on_cycle(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: int) -> bool:
-    """Whether ``z`` is on a pointer cycle.  Walks chain(z), stamping
-    ``stamp``, until it closes a cycle or reaches the chain's end: a node
-    with no parent or on a permanent cycle.  Each node walked gets that end
-    as its fate; it stays true while the end has no parent, and a later
-    walk stops at a node it holds true for.  A cycle closed is settled."""
+def _end(vp: VpMap, mark: list[int], fate: dict[int, int], z: int, stamp: int) -> int:
+    """The end of chain(z): its node with no parent, or a node on the
+    permanent cycle it reaches.  Walks chain(z), stamping ``stamp``, to the
+    first such node, a node whose fate is still one, or its own stamp, where
+    it settles the cycle it closed.  The nodes walked take the end as fate."""
     parent = vp.parent
     path = []
-    y = z
-    while mark[y] < stamp:
-        end = fate.get(y, -1)
+    while mark[z] < stamp and parent[z] >= 0:
+        end = fate.get(z, -1)
         if end >= 0 and (parent[end] < 0 or mark[end] > _STOP):
-            break  # chain(y) still ends at end
-        mark[y] = stamp
-        path.append(y)
-        y = parent[y]
-    else:
-        if mark[y] == stamp:  # closed the cycle through y
-            vp.steps += len(path)
-            _settle(vp, mark, y)
-            return y == z
-        end = y if y >= 0 else path[-1]  # on a permanent cycle, or with no parent
+            z = end  # chain(z) still ends at end
+            break
+        mark[z] = stamp
+        path.append(z)
+        z = parent[z]
     vp.steps += len(path)
-    for y in path:
-        fate[y] = end
-    return False
+    if mark[z] == stamp:  # closed the cycle through z
+        _settle(vp, mark, z)
+    else:
+        for y in path:
+            fate[y] = z
+    return z
 
 
 def _entry(vp: VpMap, mark: list[int], s: int, z: int) -> int:
@@ -340,8 +336,7 @@ def vp_sets(g: Cfg) -> VpMap:
     finger that reaches the end of its chain, or its own stamp, leaves the
     other to walk on alone.  So an examination takes at most about twice
     the longer of the two chains' runs up to the meet (up to their ends
-    when they have none), not all of chain(s1).  A one-node chain needs no
-    finger: the other chain meets it only by ending at it.
+    when they have none), not all of chain(s1).
 
     Sets only grow, so ``parent[v]`` stays on both chains, at or after the
     meet x on chain(s2); x is on chain(parent[v]) exactly when it is
@@ -349,8 +344,14 @@ def vp_sets(g: Cfg) -> VpMap:
     cycle ever moves (below), so the first walk to close one stamps it
     permanent, above every generation, and later walks stop at its first
     node; two chains that stop in the same one meet where chain(s2)
-    entered it.  Whether a meet is on a cycle is read off a walk to its
-    chain's end, remembered per node while that end stays a root.
+    entered it.  One walk to a chain's end, ``_end``, tells whether x is
+    on a cycle, as the walk from x closes it, and whether chain(s) ends at
+    t when chain(t) is t alone, the only way the two meet.  It stops on a
+    node with no parent, where a finger steps past it, and remembers each
+    node's end; later walks stop at a node whose end is still a root.  That
+    stays true: a permanent cycle never moves, and an end with no parent
+    changes only when it gets one, as a move keeps the old parent on the
+    new chain.
 
     The cycle lemma: a pointer cycle C is P(c), the nodes on every maximal
     path from c, for each c on C.  So no pointer of C moves: by (a) below
@@ -444,7 +445,8 @@ def vp_sets(g: Cfg) -> VpMap:
                 q = parent[v]
                 if x == v or x == q:
                     continue
-                if parent[x] >= 0 and _on_cycle(vp, mark, fate, x, gen + 2):
+                _end(vp, mark, fate, x, gen + 2)
+                if mark[x] > stop:
                     if q >= 0:
                         continue
                     x = _entry(vp, mark, s2, x)
@@ -454,17 +456,14 @@ def vp_sets(g: Cfg) -> VpMap:
                 quiet = 0
                 continue
             # chain(t) is t alone, so chain(s) meets it only by ending at t
-            gen += 3
-            mark[t] = gen
-            while s >= 0 and mark[s] < gen:
-                mark[s] = gen
-                s = parent[s]
+            end = parent[s]
+            if parent[end] >= 0:
+                gen += 3
+                end = _end(vp, mark, fate, s, gen)
+            else:
                 steps += 1
-            if s == t:
-                if t != v and parent[v] != t:
-                    parent[v] = t
-                    quiet = 0
-            elif s >= 0 and mark[s] == gen:  # closed a pointer cycle
-                _settle(vp, mark, s)
+            if end == t and t != v and parent[v] != t:
+                parent[v] = t
+                quiet = 0
     vp.steps += steps
     return vp

@@ -262,7 +262,7 @@ def dod_from_vp(g: Cfg, vp: VpMap) -> DodRelation:
     return dod_labels(g, dod_from_vp_rows(g, vp))
 
 
-def dod_formula_rows(g: Cfg, variant: str = "original", vp: VpMap | None = None) -> DodBlocks:
+def dod_formula_rows(g: Cfg, variant: str, vp: VpMap) -> DodBlocks:
     """Pairwise-formula DOD: for every predicate p and pair {a, b}, require
     mutual reachability and opposite first-occurrence orders from the two
     branches.
@@ -270,14 +270,14 @@ def dod_formula_rows(g: Cfg, variant: str = "original", vp: VpMap | None = None)
     ``variant`` selects the mutual-reachability test: "original" uses plain
     reachability (which over-approximates the true relation), "fixed" uses
     membership on all maximal paths.  Both read the all-paths sets of
-    ``vp``, ``g``'s ``vp_sets`` map, or of a new one when ``vp`` is None.
+    ``vp``, ``g``'s ``vp_sets`` map.
     """
     if variant not in ("original", "fixed"):
         raise ValueError(f"unknown variant {variant!r}; expected 'original' or 'fixed'")
     n = len(g.labels)
     if n == 0:
         return []
-    vsets = (vp_sets(g) if vp is None else vp).index_sets
+    vsets = vp.index_sets
     sets = vsets if variant == "fixed" else [reach(g.succs, (v,)) for v in range(n)]
     # The formula is symmetric: {a, b} passes from a in one orientation
     # iff it passes from b in the other, so a's block takes only the b
@@ -335,4 +335,4 @@ def dod_formula_rows(g: Cfg, variant: str = "original", vp: VpMap | None = None)
 
 def dod_formula(g: Cfg, variant: str = "original") -> DodRelation:
     """``dod_formula_rows`` as labels."""
-    return dod_labels(g, dod_formula_rows(g, variant))
+    return dod_labels(g, dod_formula_rows(g, variant, vp_sets(g)))

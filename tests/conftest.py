@@ -121,6 +121,17 @@ def diamond_ladder(rungs: int, closed: bool, arm: int = 1) -> Cfg:
     return Cfg(labels, edges)
 
 
+def comb_cfg(teeth: int) -> Cfg:
+    """p_i branches to its own sink d_i and into x_i, the i-th node of one
+    path x_0 -> ... -> x_{teeth-1}: chain(x_i) is the rest of the path, and
+    no two chains of a predicate meet."""
+    path = [f"x{i}" for i in range(teeth)]
+    edges = list(zip(path, path[1:]))
+    for i, x in enumerate(path):
+        edges += [(f"p{i}", f"d{i}"), (f"p{i}", x)]
+    return Cfg([f"{y}{i}" for i in range(teeth) for y in "pdx"], edges)
+
+
 def fed_cycle_cfg(seed: int, cycle: tuple[int, int] = (3, 30), feeders: tuple[int, int] = (1, 6)) -> Cfg:
     """A seeded cycle of ``cycle`` nodes fed by ``feeders`` branches, each
     to two distinct cycle nodes directly or, as in fig7, through two

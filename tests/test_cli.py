@@ -752,7 +752,7 @@ def test_check_reports_each_id_that_reads_a_raising_all_paths_map(fig7, tmp_path
     failures = [f"{algo} raised RuntimeError: no map" for algo in VP_READERS]
     assert cli.differential_failures(fig7) == failures
     # check's map, then one per id, each of which raises in turn
-    assert [name for name, _ in calls] == ["ctrldep.cli"] * 3 + ["ctrldep.dod"] * 2
+    assert [name for name, _ in calls] == ["ctrldep.cli"] * 5
     path = tmp_path / "fig7.json"
     path.write_text(serialize_cfg(fig7))
     fail_out = tmp_path / "mismatch.json"
@@ -766,11 +766,11 @@ def test_check_reports_each_id_that_reads_a_raising_all_paths_map(fig7, tmp_path
 
 
 def test_bench_builds_an_all_paths_map_per_timed_run(tmp_path, monkeypatch):
-    # dod-new takes its map through ``cli``, dod-formula-fixed through ``dod``.
+    # dod-new and dod-formula-fixed both take their map through ``cli``.
     calls = count_vp_sets(monkeypatch)
     argv = ["bench", "--shape", "dod-worst", "--nodes", "12", "--algos", "dod-new,dod-formula-fixed"]
     assert cli.main([*argv, "--reps", "3", "--csv", str(tmp_path / "b.csv")]) == 0
-    assert [name for name, _ in calls] == ["ctrldep.cli"] * 3 + ["ctrldep.dod"] * 3
+    assert [name for name, _ in calls] == ["ctrldep.cli"] * 6
     assert len({id(vp) for _, vp in calls}) == 6  # six maps alive at once
 
 

@@ -21,7 +21,7 @@ from ctrldep.coloring import Coloring, vp_sets
 from ctrldep.ntscd import ntscd_new_rows
 from ctrldep.oracle import oracle_exists_maximal_avoiding
 
-from conftest import continuation_corpus, diamond_ladder, fed_cycle_cfg, fed_cycle_corpus, small_cfgs
+from conftest import comb_cfg, continuation_corpus, diamond_ladder, fed_cycle_cfg, fed_cycle_corpus, small_cfgs
 
 
 def color(g: Cfg, targets) -> frozenset[str]:
@@ -211,6 +211,7 @@ def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep():
     graphs += [worst_case_dod_cfg(n) for n in range(8, 129, 4)]
     graphs += fed_cycle_corpus()
     graphs += [diamond_ladder(r, closed, arm) for r in range(1, 21) for closed in (False, True) for arm in (1, 2)]
+    graphs += [comb_cfg(teeth) for teeth in (1, 2, 3, 10, 50, 200)]
     assert len(graphs) >= 2000
     for g in graphs:
         assert vp_sets(g).parent == sweep_fixpoint(g)
@@ -254,9 +255,9 @@ def test_vp_sets_steps_on_the_random_quiet_sweep_graphs():
     # node of every pointer cycle a walk has closed, one with a predicate
     # on it too: on random_cfg(6, 9, 1) the cycle n3 -> n4 -> n3 holds the
     # predicate n4, and n4's second examination stops both fingers at n3.
-    assert vp_sets(random_cfg(6, 9, 1)).steps == 11
+    assert vp_sets(random_cfg(6, 9, 1)).steps == 10
     graphs = [random_cfg(n, e, s) for n in range(1, 61) for e in (n // 2, n, 3 * n // 2, 2 * n) for s in range(9)]
-    assert sum(vp_sets(g).steps for g in graphs) == 42_042
+    assert sum(vp_sets(g).steps for g in graphs) == 28_503
 
 
 def shuffled(g: Cfg, seed: int) -> Cfg:
@@ -346,21 +347,31 @@ def test_vp_sets_steps_grow_linearly_on_the_worst_case_and_ladders():
     # join, which it already walked.  Closed, the root cycle holds every
     # predicate, and the walks stop at the last root they found instead.
     for k in (50, 100, 200, 400):
-        assert vp_sets(diamond_ladder(k, False, 2)).steps == 12 * k - 1
-        assert vp_sets(diamond_ladder(k, True, 2)).steps == 12 * k
-        assert vp_sets(diamond_ladder(k, False, 1)).steps == 8 * k - 1
+        assert vp_sets(diamond_ladder(k, False, 2)).steps == 12 * k - 2
+        assert vp_sets(diamond_ladder(k, True, 2)).steps == 12 * k - 1
+        assert vp_sets(diamond_ladder(k, False, 1)).steps == 8 * k - 2
+
+
+def test_vp_sets_steps_grow_linearly_on_a_comb():
+    # No two chains of a predicate meet, and every chain but the one-node
+    # sinks runs down the shared path.  The predicates are examined from
+    # the far end of the path, and the walk from x_i stops at x_{i+1},
+    # whose end the walk before remembered: one step per predicate, where
+    # walking the rest of the path each time took about teeth^2 / 2.
+    for teeth in (3, 10, 100, 500, 1000, 2000):
+        assert vp_sets(comb_cfg(teeth)).steps == teeth
 
 
 def test_vp_sets_steps_on_the_fed_cycle_corpus():
     steps = [vp_sets(g).steps for g in fed_cycle_corpus()]
-    assert (sum(steps), max(steps)) == (26_186, 147)
+    assert (sum(steps), max(steps)) == (25_897, 146)
 
 
 def test_vp_sets_steps_on_the_edge_sweep_graphs():
     # The graphs of acceptance criterion 9, whose timed spread varies with
     # the machine; the steps do not.  Each stays below 2|V|.
     steps = [vp_sets(random_cfg(500, edges, 1234)).steps for edges in range(50, 1001, 50)]
-    assert steps == [2, 2, 10, 34, 34, 102, 124, 327, 258, 497, 939, 604, 512, 567, 565, 483, 543, 507, 191, 4]
+    assert steps == [1, 1, 7, 26, 24, 81, 99, 265, 193, 371, 661, 429, 370, 384, 381, 343, 313, 213, 89, 2]
 
 
 def test_vp_sets_throughput_on_the_worst_case_and_a_long_ladder():
