@@ -12,11 +12,15 @@ start can reach either a node with no successors in the original graph
 (a finite maximal path) or a cycle (an infinite one).
 
 ``oracle_ntscd``, ``oracle_dod`` and ``oracle_relations`` only ever avoid
-one node, so each call builds one set of tables and reads every query from
-them: for each node x, the reach bitmask of every node in G - x (a fixpoint
-over forward successor masks), and the escape mask of x, the nodes s != x
-whose reach in G - x holds a node without successors in G or a node that
-reaches itself.  Nothing is kept across calls.  The per-query predicates
+one node, so each call builds the tables of every deleted node x in one
+fixpoint and reads every query from them.  Node v gets one int of n
+fields of n + 1 bits: the low n bits of field x hold the nodes v reaches
+in G - x, and its top bit is a guard that the reach never sets.  v
+escapes x when that field holds a node without successors in G or a
+node that reaches itself in G - x.  A field holds at most 2^n - 1, so
+adding 2^n - 1 to it sets its guard exactly when it is not zero and
+carries no further: one addition asks "is the field non-zero?" of all n
+fields.  Nothing is kept across calls.  The per-query predicates
 ``oracle_exists_maximal_avoiding`` and ``oracle_first_before`` keep their
 own reach search and cycle search: ``oracle_min_closure`` avoids node sets,
 which the one-node tables do not cover, and the tests compare the tables
@@ -102,55 +106,50 @@ def oracle_exists_maximal_avoiding(g: Cfg, m: str, n: str) -> bool:
     return _exists_maximal_avoiding_set(g, mi, frozenset((ni,)))
 
 
-def _avoid_tables(g: Cfg) -> tuple[list[list[int]], list[int]]:
-    """For each node x: the reach masks of G - x (entry s holds the nodes s
-    reaches without touching x, s itself included; entry x is 0), and the
-    escape mask of x: each s != x with a maximal path that avoids x.  Both
-    are empty on a graph without predicates, which asks no query.
+def _avoid_tables(g: Cfg) -> tuple[int, list[int], list[int]]:
+    """The field width w = n + 1 and, for each node v, two ints of n
+    fields of w bits.  Field x of ``reach[v]`` holds the nodes v reaches
+    without touching x, v itself included; field v is 0.  ``escape[v]``
+    sets only guards: that of field x when v has a maximal path that
+    avoids x.  Both lists are empty on a graph without predicates, which
+    asks no query.
 
-    Each node's bit and successors are read from one (v, 1 << v, succs[v])
-    triple per node, in postorder, so the fixpoint and the end test look
-    up nothing else per node; v reaches itself in G - x when the OR of its
-    successors' reach masks holds v."""
-    if not predicate_indices(g):
-        return [], []
+    A pass sets reach[v] to ``rep`` (bit v in every field) OR its
+    successors' reach, and ``keep`` clears field v, so x cuts every path
+    through it.  v reaches itself in G - x when field x of its successors'
+    OR holds v; such nodes and the sinks are the ``ends``, and adding
+    ``low`` (2^n - 1 in every field) to ``reach[v] & ends`` sets the guard
+    of each field x that v escapes."""
     n = len(g.labels)
+    w = n + 1
+    if not predicate_indices(g):
+        return w, [], []
     succs = g.succs
-    nodes = [(v, 1 << v, succs[v]) for v in _postorder(g)]
-    sinks = sum(1 << v for v in range(n) if not succs[v])
-    reach_by_x: list[list[int]] = []
-    escape_by_x: list[int] = []
-    for x in range(n):
-        # r[x] stays 0, so x cuts every path through it; successors come
-        # first in postorder, so an acyclic part settles in one pass.
-        r = [0] * n
-        changed = True
-        while changed:
-            changed = False
-            for v, bit, ss in nodes:
-                if v == x:
-                    continue
-                m = bit
-                for t in ss:
-                    m |= r[t]
-                if m != r[v]:
-                    r[v] = m
-                    changed = True
-        # No entry holds x, so neither a sink x nor a cycle through x counts.
-        ends = sinks
-        for v, bit, ss in nodes:
+    field = (1 << n) - 1
+    ones = sum(1 << x * w for x in range(n))
+    low = ones * field
+    nodes = [(v, ones << v, low ^ field << v * w, succs[v]) for v in _postorder(g)]
+    reach = [0] * n
+    # No reach holds x in field x, so neither a sink x nor a cycle
+    # through x ends a path in G - x.  Reach only grows, so ``ends`` gathers over the
+    # passes what the last one alone would give.
+    ends = ones * sum(1 << v for v in range(n) if not succs[v])
+    # Successors come first in postorder, so an acyclic part settles in
+    # one pass; passes repeat until no field changes.
+    changed = True
+    while changed:
+        changed = False
+        for v, rep, keep, ss in nodes:
             m = 0
             for t in ss:
-                m |= r[t]
-            if m & bit:
-                ends |= bit
-        escape = 0
-        for v, bit, ss in nodes:
-            if r[v] & ends:
-                escape |= bit
-        reach_by_x.append(r)
-        escape_by_x.append(escape)
-    return reach_by_x, escape_by_x
+                m |= reach[t]
+            ends |= m & rep
+            m = (m | rep) & keep
+            if m != reach[v]:
+                reach[v] = m
+                changed = True
+    guard = ones << n
+    return w, reach, [((r & ends) + low) & guard for r in reach]
 
 
 def _postorder(g: Cfg) -> list[int]:
@@ -174,37 +173,39 @@ def _visit(g: Cfg, v: int, seen: set[int], out: list[int]) -> None:
     out.append(v)
 
 
-def _ntscd(g: Cfg, escape: list[int]) -> frozenset[tuple[str, str]]:
+def _ntscd(g: Cfg, w: int, escape: list[int]) -> frozenset[tuple[str, str]]:
     labels = g.labels
     out = set()
     for p in predicate_indices(g):
         s1, s2 = g.succs[p]
-        for x in range(len(labels)):
-            # On all maximal paths from exactly one successor.
-            if (escape[x] >> s1 ^ escape[x] >> s2) & 1:
-                out.add((labels[p], labels[x]))
+        # Field x's guard: on all maximal paths from exactly one successor.
+        m = escape[s1] ^ escape[s2]
+        while m:
+            bit = m & -m
+            out.add((labels[p], labels[(bit.bit_length() - 1) // w]))
+            m ^= bit
     return frozenset(out)
 
 
-def _dod(g: Cfg, reach: list[list[int]], escape: list[int]) -> frozenset[tuple[str, str, str]]:
+def _dod(g: Cfg, w: int, reach: list[int], escape: list[int]) -> frozenset[tuple[str, str, str]]:
     labels = g.labels
     n = len(labels)
-
-    def first_before(s: int, a: int) -> int:
-        """A mask whose bit b (for b != a) says that all maximal paths from
-        s contain a before any b: none avoids a, and s reaches no b in G - a
-        (s itself counts as reached unless s is a)."""
-        if escape[a] >> s & 1:
-            return 0
-        return ~reach[a][s]
-
+    field = (1 << n) - 1
     out = set()
     for p in predicate_indices(g):
         s1, s2 = g.succs[p]
-        on_all = [a for a in range(n) if a != p and not escape[a] >> p & 1]
-        fb1 = {a: first_before(s1, a) for a in on_all}
-        fb2 = {a: first_before(s2, a) for a in on_all}
-        for a, b in combinations(on_all, 2):
+        r1, r2 = reach[s1], reach[s2]
+        e1, e2, ep = escape[s1] >> n, escape[s2] >> n, escape[p] >> n
+        # For each a != p on all maximal paths from p, masks whose bit b
+        # says that all maximal paths from s1 (fb1) or s2 (fb2) contain a
+        # before any b: none avoids a, and s reaches no b in G - a.
+        fb1, fb2 = {}, {}
+        for a in range(n):
+            k = a * w
+            if a != p and not ep >> k & 1:
+                fb1[a] = 0 if e1 >> k & 1 else field ^ (r1 >> k & field)
+                fb2[a] = 0 if e2 >> k & 1 else field ^ (r2 >> k & field)
+        for a, b in combinations(fb1, 2):
             if (fb1[a] >> b & 1 and fb2[b] >> a & 1) or (fb1[b] >> a & 1 and fb2[a] >> b & 1):
                 x, y = labels[a], labels[b]
                 out.add((labels[p], x, y) if x < y else (labels[p], y, x))
@@ -215,8 +216,8 @@ def oracle_relations(g: Cfg) -> dict[str, frozenset]:
     """NTSCD and DOD, as ``oracle_ntscd`` and ``oracle_dod`` return them,
     read from one set of per-node tables."""
     _check_budget(g, ORACLE_MAX_NODES)
-    reach, escape = _avoid_tables(g)
-    return {"ntscd": _ntscd(g, escape), "dod": _dod(g, reach, escape)}
+    w, reach, escape = _avoid_tables(g)
+    return {"ntscd": _ntscd(g, w, escape), "dod": _dod(g, w, reach, escape)}
 
 
 def oracle_ntscd(g: Cfg) -> frozenset[tuple[str, str]]:
@@ -226,7 +227,8 @@ def oracle_ntscd(g: Cfg) -> frozenset[tuple[str, str]]:
     while the other admits a maximal path avoiding n.
     """
     _check_budget(g, ORACLE_MAX_NODES)
-    return _ntscd(g, _avoid_tables(g)[1])
+    w, _, escape = _avoid_tables(g)
+    return _ntscd(g, w, escape)
 
 
 def oracle_first_before(g: Cfg, s: str, a: str, b: str) -> bool:

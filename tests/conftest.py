@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 from random import Random
 
 import pytest
@@ -233,6 +234,16 @@ def continuation_corpus() -> list[Cfg]:
     graphs += [diamond_ladder(rungs, closed, arm) for rungs in (1, 4) for closed in (False, True) for arm in (1, 3)]
     return graphs
 
+
+def every_small_cfg(max_nodes: int, duplicates: bool = False):
+    """Every graph of 1 to ``max_nodes`` nodes with at most two out-edges
+    per node, to distinct targets in either order, self-loops included;
+    with ``duplicates``, also two parallel edges (t, t) to one target."""
+    for n in range(1, max_nodes + 1):
+        labels = [str(i) for i in range(n)]
+        outs = [()] + [(t,) for t in range(n)] + [(t, u) for t in range(n) for u in range(n) if duplicates or t != u]
+        for choice in product(outs, repeat=n):
+            yield Cfg(labels, [(labels[v], labels[t]) for v, ts in enumerate(choice) for t in ts])
 
 
 @st.composite

@@ -21,7 +21,15 @@ from ctrldep.coloring import Coloring, vp_sets
 from ctrldep.ntscd import ntscd_new_rows
 from ctrldep.oracle import oracle_exists_maximal_avoiding
 
-from conftest import comb_cfg, continuation_corpus, diamond_ladder, fed_cycle_cfg, fed_cycle_corpus, small_cfgs
+from conftest import (
+    comb_cfg,
+    continuation_corpus,
+    diamond_ladder,
+    every_small_cfg,
+    fed_cycle_cfg,
+    fed_cycle_corpus,
+    small_cfgs,
+)
 
 
 def color(g: Cfg, targets) -> frozenset[str]:
@@ -227,16 +235,6 @@ def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep_on_large_cycles():
     graphs += [diamond_ladder(r, True, arm) for r in (30, 60) for arm in (1, 2)]
     for g in graphs:
         assert vp_sets(g).parent == sweep_fixpoint(g)
-
-
-def every_small_cfg(max_nodes: int):
-    """Every graph of 1 to ``max_nodes`` nodes with at most two out-edges
-    per node, to distinct targets in either order, self-loops included."""
-    for n in range(1, max_nodes + 1):
-        labels = [str(i) for i in range(n)]
-        outs = [()] + [(t,) for t in range(n)] + [(t, u) for t in range(n) for u in range(n) if t != u]
-        for choice in product(outs, repeat=n):
-            yield Cfg(labels, [(labels[v], labels[t]) for v, ts in enumerate(choice) for t in ts])
 
 
 def test_vp_sets_stops_on_the_pointers_of_a_quiet_sweep_on_every_small_graph():

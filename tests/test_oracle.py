@@ -20,9 +20,9 @@ from ctrldep import (
     random_cfg,
     worst_case_dod_cfg,
 )
-from ctrldep.oracle import oracle_exists_maximal_avoiding, oracle_first_before, oracle_relations
+from ctrldep.oracle import ORACLE_MAX_NODES, oracle_exists_maximal_avoiding, oracle_first_before, oracle_relations
 
-from conftest import FIG3_NTSCD, fed_cycle_cfg, small_cfgs
+from conftest import FIG3_NTSCD, every_small_cfg, fed_cycle_cfg, small_cfgs
 
 
 def test_exists_maximal_avoiding_fig3(fig3):
@@ -174,10 +174,28 @@ def test_tables_match_the_per_query_oracle_on_random_graphs(g):
     assert_tables_match_the_per_query_oracle(g)
 
 
+def test_tables_match_the_per_query_oracle_on_every_small_graph():
+    # Every graph of at most 3 nodes, duplicate edges (t, t) included.
+    count = 0
+    for g in every_small_cfg(3, duplicates=True):
+        assert oracle_relations(g) == per_query_relations(g)
+        count += 1
+    assert count == 2_249
+
+
+@pytest.mark.parametrize("edges, seed", [(64, 2), (64, 3), (96, 2), (96, 3)])
+def test_tables_match_the_per_query_oracle_at_the_node_budget(edges, seed):
+    # 64 nodes, so each packed int holds 64 fields of 65 bits.
+    g = random_cfg(ORACLE_MAX_NODES, edges, seed)
+    assert len(g.labels) == ORACLE_MAX_NODES
+    assert_tables_match_the_per_query_oracle(g)
+
+
 def test_oracle_relations_throughput_on_fed_cycles():
     # 120 fed cycles of up to 53 nodes.  Answering each query with its own
     # reach search and cycle search took about 15 s for both oracles on a
-    # 2-vCPU x86_64 machine; one set of tables per graph takes about 0.3 s.
+    # 2-vCPU x86_64 machine, and one reach fixpoint per deleted node about
+    # 0.09 s; one fixpoint for every deleted node takes about 0.05 s.
     graphs = [fed_cycle_cfg(seed) for seed in range(120)]
     start = time.perf_counter()
     for g in graphs:
